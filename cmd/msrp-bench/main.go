@@ -28,10 +28,9 @@ func main() {
 
 func run() error {
 	var (
-		experiment = flag.String("experiment", "all", "experiment id (E1..E9) or 'all'")
+		experiment = flag.String("experiment", "all", "experiment id (E1..E13, E15; see -list) or 'all'")
 		quick      = flag.Bool("quick", false, "shrink sweeps to test sizes")
 		list       = flag.Bool("list", false, "list experiments and exit")
-		record     = flag.String("record", "", "write the experiment's machine-readable record (bench.Envelope JSON) to this path; supported by E20")
 	)
 	flag.Parse()
 
@@ -42,7 +41,7 @@ func run() error {
 		}
 		return nil
 	}
-	cfg := bench.Config{Quick: *quick, RecordPath: *record}
+	cfg := bench.Config{Quick: *quick}
 	want := strings.ToUpper(*experiment)
 	ran := 0
 	for _, ex := range all {

@@ -75,8 +75,8 @@ func TestCrossCheckMultiSource(t *testing.T) {
 }
 
 // TestCrossCheckMultiSourcePaths is the provenance plane's exhaustive
-// acceptance: for every graph family, at P ∈ {1, 2, 8}, on both solve
-// schedules (pipelined and barrier), a TrackPaths solve must
+// acceptance: for every graph family, at P ∈ {1, 2, 8}, a TrackPaths
+// solve must
 //
 //  1. report lengths bit-identical to the tracking-off solve (tracking
 //     only observes, never steers), which the families' boosted
@@ -97,32 +97,29 @@ func TestCrossCheckMultiSourcePaths(t *testing.T) {
 				wants[i] = naive.SSRP(f.g, s)
 			}
 			for _, par := range []int{1, 2, 8} {
-				for _, barrier := range []bool{false, true} {
-					p := ssrp.DefaultParams()
-					p.Seed = 99
-					p.SampleBoost = 12
-					p.SuffixScale = 0.25
-					p.Parallelism = par
-					p.BarrierPipeline = barrier
-					plain, err := msrpcore.Solve(f.g, sources, p)
-					if err != nil {
-						t.Fatal(err)
+				p := ssrp.DefaultParams()
+				p.Seed = 99
+				p.SampleBoost = 12
+				p.SuffixScale = 0.25
+				p.Parallelism = par
+				plain, err := msrpcore.Solve(f.g, sources, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.TrackPaths = true
+				sol, err := msrpcore.Solve(f.g, sources, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, s := range sources {
+					res := sol.Results[i]
+					if d := rp.Diff(plain.Results[i], res); d != "" {
+						t.Fatalf("P=%d source %d: tracking changed lengths: %s", par, s, d)
 					}
-					p.TrackPaths = true
-					sol, err := msrpcore.Solve(f.g, sources, p)
-					if err != nil {
-						t.Fatal(err)
+					if d := rp.Diff(wants[i], res); d != "" {
+						t.Fatalf("P=%d source %d: %s", par, s, d)
 					}
-					for i, s := range sources {
-						res := sol.Results[i]
-						if d := rp.Diff(plain.Results[i], res); d != "" {
-							t.Fatalf("P=%d barrier=%v source %d: tracking changed lengths: %s", par, barrier, s, d)
-						}
-						if d := rp.Diff(wants[i], res); d != "" {
-							t.Fatalf("P=%d barrier=%v source %d: %s", par, barrier, s, d)
-						}
-						verifyResultPaths(t, f.g, sol.PerSource[i], res, par, barrier)
-					}
+					verifyResultPaths(t, f.g, sol.PerSource[i], res, par)
 				}
 			}
 		})
@@ -131,17 +128,17 @@ func TestCrossCheckMultiSourcePaths(t *testing.T) {
 
 // verifyResultPaths reconstructs every answer of one source and
 // machine-verifies it against the reported length.
-func verifyResultPaths(t *testing.T, g *graph.Graph, ps *ssrp.PerSource, res *rp.Result, par int, barrier bool) {
+func verifyResultPaths(t *testing.T, g *graph.Graph, ps *ssrp.PerSource, res *rp.Result, par int) {
 	t.Helper()
 	verified, failures := rp.VerifyReconstructions(g, res, 1, ps.ReconstructPath)
 	for _, f := range failures {
-		t.Errorf("P=%d barrier=%v %s", par, barrier, f)
+		t.Errorf("P=%d %s", par, f)
 	}
 	if len(failures) > 0 {
 		t.FailNow()
 	}
 	if verified == 0 && res.NumQueries() > 0 {
-		t.Fatalf("P=%d barrier=%v s=%d: nothing verified", par, barrier, res.Source)
+		t.Fatalf("P=%d s=%d: nothing verified", par, res.Source)
 	}
 }
 

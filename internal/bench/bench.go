@@ -112,11 +112,6 @@ type Config struct {
 	// Quick shrinks every sweep to test-suite sizes (seconds, not
 	// minutes). The full sizes are used by cmd/msrp-bench.
 	Quick bool
-	// RecordPath, when non-empty, asks experiments that support
-	// machine-readable records (E20) to write a bench.Envelope there —
-	// the committed BENCH_*.json trajectory. Experiments without a
-	// record shape ignore it.
-	RecordPath string
 }
 
 // Experiment is a runnable experiment with an id matching DESIGN.md §5.
@@ -143,8 +138,6 @@ func All() []Experiment {
 		{"E11", "Preserver sizes", "fault-tolerant BFS subgraph vs the Parter–Peleg n^1.5 bound", RunE11},
 		{"E12", "Engine parallel scaling", "σ-source solve and batched Oracle vs Parallelism (near-linear to GOMAXPROCS)", RunE12},
 		{"E13", "Seed-table shard + work-stealing scaling", "sharded §8.2.1 build and steal-half scheduling on a skewed σ-source family", RunE13},
-		{"E14", "Pipelined vs barrier solve", "cross-stage §8.1→§8.2.1 pipelining: wall time and peak path-state bytes", RunE14},
 		{"E15", "Provenance plane overhead", "TrackPaths at σ=16: bit-identical lengths, retained ProvenanceBytes vs the transient PeakSeedPathBytes", RunE15},
-		{"E20", "Streaming past the seed merge", "partitioned streaming merge + readiness-gated §8.2.2 overlap vs both barrier schedules: wall time, bit-identity, overlap counters", RunE20},
 	}
 }

@@ -265,42 +265,6 @@ func (t *Table) rehash(size int) {
 	}
 }
 
-// Entry is one (key, value) pair — the unit of the solve's
-// scatter/fold buffers, which stage entries outside any table until
-// their target partition is ready to absorb them.
-type Entry struct {
-	Key uint64
-	Val int32
-}
-
-// Fingerprint hashes the table's complete physical layout: sizes,
-// seeds, and every slot (including empty ones) in storage order. Two
-// tables agree iff a lookup-by-lookup, slot-by-slot comparison would —
-// the bit-identity observable the deterministic-layout tests assert
-// across worker counts and schedules. Contents-equal tables built in
-// different insertion orders generally do NOT agree; that sensitivity
-// is the point.
-func (t *Table) Fingerprint() uint64 {
-	h := uint64(len(t.t1))*0x9e3779b97f4a7c15 ^ uint64(t.count)
-	h = mixPair(h, t.seed1)
-	h = mixPair(h, t.seed2)
-	for _, sub := range [2][]slot{t.t1, t.t2} {
-		for i := range sub {
-			if sub[i].used {
-				h = mixPair(h, uint64(i))
-				h = mixPair(h, sub[i].key)
-				h = mixPair(h, uint64(uint32(sub[i].val)))
-			}
-		}
-	}
-	return h
-}
-
-// mixPair folds v into the running hash h with an avalanche step.
-func mixPair(h, v uint64) uint64 {
-	return xrand.Mix(h ^ (v + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)))
-}
-
 // Delete removes key, reporting whether it was present.
 func (t *Table) Delete(key uint64) bool {
 	if t.t1 == nil {

@@ -28,10 +28,9 @@ type Tolerance struct {
 	// clock (Result.WarmMillis) the same way LatencyFactor bands the
 	// per-wave percentiles. The warm-up runs the full §8 batch
 	// pipeline, so this is the committed record's guard on the solve
-	// schedule itself: a refactor that quietly reintroduces a
-	// stop-the-world barrier shows up here even when the serving waves
-	// (all cache hits) stay fast. Zero WarmFactor disables the check,
-	// as does a baseline without a warm-up phase.
+	// itself: a refactor that slows the solve shows up here even when
+	// the serving waves (all cache hits) stay fast. Zero WarmFactor
+	// disables the check, as does a baseline without a warm-up phase.
 	WarmFactor      float64
 	WarmFloorMillis float64
 }

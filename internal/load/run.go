@@ -103,11 +103,6 @@ type StatsGauges struct {
 	WarmStageSeedMergeMillis      float64 `json:"warmStageSeedMergeMillis"`
 	WarmStageCenterLandmarkMillis float64 `json:"warmStageCenterLandmarkMillis"`
 	WarmStageAssemblyMillis       float64 `json:"warmStageAssemblyMillis"`
-	// Streaming-overlap counters of the most recent warm: §8.2.2
-	// center solves released before every source finished. Zero when
-	// the server warms under a barrier schedule.
-	WarmCentersReady      int64 `json:"warmCentersReady,omitempty"`
-	WarmCentersOverlapped int64 `json:"warmCentersOverlapped,omitempty"`
 }
 
 // DrainResult records the graceful-drain observation of a drain wave.
@@ -397,8 +392,6 @@ func Run(ctx context.Context, plan *Plan, tgt *Target, opt Options) (*Result, er
 				WarmStageSeedMergeMillis:      after.WarmStageSeedMergeMillis,
 				WarmStageCenterLandmarkMillis: after.WarmStageCenterLandmarkMillis,
 				WarmStageAssemblyMillis:       after.WarmStageAssemblyMillis,
-				WarmCentersReady:              after.WarmCentersReady,
-				WarmCentersOverlapped:         after.WarmCentersOverlapped,
 			}
 		}
 		res.ServerErrors += wr.ServerErrors

@@ -12,11 +12,11 @@ import (
 	"msrp/internal/ssrp"
 )
 
-// seedReader is the §8.2.1 seed table as its consumers see it: O(1)
-// worst-case keyed lookups plus the footprint accounting. Both the
-// barriered flat cuckoo.Table and the streaming cuckoo.Partitioned
-// satisfy it, so the §8.2.2 build and the provenance plane are
-// schedule-agnostic.
+// seedReader is the §8.2.1 seed table as the §8.2.2 build reads it:
+// O(1) worst-case keyed lookups plus the footprint accounting. The
+// solve always passes the merged *cuckoo.Table; the interface exists as
+// the cancellation test's seam, a reader that cancels the solve's
+// context on its first lookup.
 type seedReader interface {
 	Get(key uint64) (int32, bool)
 	Len() int
@@ -80,9 +80,9 @@ func buildSeedTable(ctx context.Context, sh *ssrp.Shared, perSrc []*ssrp.PerSour
 // mergeSeedShards folds the per-source shards into one presized table
 // with MinPut, in source order, and returns it with the total rehash
 // count (shards + merge) — the E9/E13 cascade observability. The solve
-// pipeline calls this after its per-source build/enumerate stages (its
-// only cross-source barrier); buildSeedTable wraps it for the barrier
-// composition the seed-table tests exercise.
+// calls this once its pipelined build/enumerate stage has finished
+// every source (its only cross-source barrier); buildSeedTable wraps it
+// for the seed-table tests.
 func mergeSeedShards(shards []*cuckoo.Table) (*cuckoo.Table, int) {
 	rehashes := 0
 	total := 0
@@ -174,8 +174,8 @@ func estimateSeedEntries(ps *ssrp.PerSource, ctr *Centers) int {
 // and landmark position (lmIdx) instead of the map-of-maps the first
 // implementation used — dCR sits on the assembly's innermost candidate
 // loop, where two map lookups per call were measurable overhead, and
-// dense slots are also what lets the streaming schedule write each
-// center's output from whichever worker popped it, race-free.
+// dense per-center slots let the fan-out's workers write their centers'
+// output race-free.
 type centerLandmark struct {
 	ctr *Centers
 
@@ -193,29 +193,11 @@ type centerLandmark struct {
 	prov []*auxProv
 
 	// Aggregate aux-graph size counters (all G_c combined, E9) and the
-	// per-item wall time sum — atomics because the streaming schedule
-	// retires centers from many workers at once.
+	// per-item wall time sum — atomics because the fan-out's workers
+	// finish centers concurrently.
 	nodes      atomic.Int64
 	arcs       atomic.Int64
 	buildNanos atomic.Int64
-}
-
-// newCenterLandmark allocates the dense §8.2.2 output store; solveOne
-// fills one center's slot at a time.
-func newCenterLandmark(sh *ssrp.Shared, ctr *Centers) *centerLandmark {
-	cl := &centerLandmark{
-		ctr:   ctr,
-		lmIdx: make([]int32, sh.G.NumVertices()),
-		rows:  make([][][]int32, len(ctr.List)),
-		prov:  make([]*auxProv, len(ctr.List)),
-	}
-	for v := range cl.lmIdx {
-		cl.lmIdx[v] = -1
-	}
-	for i, r := range sh.List {
-		cl.lmIdx[r] = int32(i)
-	}
-	return cl
 }
 
 // NumNodes and NumArcs expose the aggregate G_c sizes after the builds
@@ -224,33 +206,19 @@ func (cl *centerLandmark) NumNodes() int64 { return cl.nodes.Load() }
 func (cl *centerLandmark) NumArcs() int64  { return cl.arcs.Load() }
 
 // BuildTime returns the per-center build wall time summed over items —
-// the StageCenterLandmark measure, comparable across schedules because
-// it is unaffected by how the items interleave with other stages.
+// the StageCenterLandmark measure, unaffected by how many workers ran
+// the fan-out.
 func (cl *centerLandmark) BuildTime() time.Duration {
 	return time.Duration(cl.buildNanos.Load())
 }
 
-// solveOne builds and solves G_c for center index ci, filling the
-// center's dense slot. All written state is owned by ci, so solveOne is
-// safe from any worker and any schedule (barriered fan-out or
-// readiness-gated streaming).
-func (cl *centerLandmark) solveOne(sh *ssrp.Shared, ci int, seed seedReader, sc *engine.Scratch) {
-	start := time.Now()
-	rows, ap, sizes := cl.buildOne(sh, cl.ctr.List[ci], seed, sc)
-	cl.rows[ci] = rows
-	cl.prov[ci] = ap
-	cl.nodes.Add(sizes[0])
-	cl.arcs.Add(sizes[1])
-	cl.buildNanos.Add(time.Since(start).Nanoseconds())
-}
-
 // buildCenterLandmark constructs and solves every per-center auxiliary
-// graph G_c (§8.2.2) as one barriered fan-out — the two barrier
-// schedules' path; the streaming schedule instead feeds solveOne from
-// the ready queue. Centers are independent, so the stage fans out
-// across Params.Parallelism workers, and ctx is observed between
-// centers: a cancelled solve stops after the items already in flight
-// instead of running all |C| Dijkstras to completion.
+// graph G_c (§8.2.2) once the seed table is merged. Centers are
+// independent, so the stage fans out across Params.Parallelism
+// workers, each center's output landing in its own dense slot; ctx is
+// observed between centers, so a cancelled solve stops after the items
+// already in flight instead of running all |C| Dijkstras to
+// completion.
 //
 // Node space of G_c: [c] (node 0), [r] per landmark, [r,e] per covered
 // (landmark, prefix-edge) pair. Arcs (Lemma 21/22 case analysis):
@@ -263,9 +231,26 @@ func (cl *centerLandmark) solveOne(sh *ssrp.Shared, ci int, seed seedReader, sc 
 // All positions are measured in T_c, where the shared-prefix identity
 // again makes an edge's index the same on every path through it.
 func buildCenterLandmark(ctx context.Context, sh *ssrp.Shared, ctr *Centers, seed seedReader) (*centerLandmark, error) {
-	cl := newCenterLandmark(sh, ctr)
-	if err := sh.Pool.RunScratchCtx(ctx, len(ctr.List), func(i int, sc *engine.Scratch) {
-		cl.solveOne(sh, i, seed, sc)
+	cl := &centerLandmark{
+		ctr:   ctr,
+		lmIdx: make([]int32, sh.G.NumVertices()),
+		rows:  make([][][]int32, len(ctr.List)),
+		prov:  make([]*auxProv, len(ctr.List)),
+	}
+	for v := range cl.lmIdx {
+		cl.lmIdx[v] = -1
+	}
+	for i, r := range sh.List {
+		cl.lmIdx[r] = int32(i)
+	}
+	if err := sh.Pool.RunScratchCtx(ctx, len(ctr.List), func(ci int, sc *engine.Scratch) {
+		start := time.Now()
+		rows, ap, sizes := cl.buildOne(sh, ctr.List[ci], seed, sc)
+		cl.rows[ci] = rows
+		cl.prov[ci] = ap
+		cl.nodes.Add(sizes[0])
+		cl.arcs.Add(sizes[1])
+		cl.buildNanos.Add(time.Since(start).Nanoseconds())
 	}); err != nil {
 		return nil, err
 	}
@@ -275,8 +260,8 @@ func buildCenterLandmark(ctx context.Context, sh *ssrp.Shared, ctr *Centers, see
 // buildOne builds and solves G_c, returning the d(c,r,·) rows (dense,
 // indexed by landmark position in sh.List), the retained provenance
 // (TrackPaths only, else nil), and the graph's (nodes, arcs) size pair.
-// It must not write shared state outside c's own slots: both schedules
-// run it concurrently across centers. sc backs the transient arc
+// It must not write shared state outside c's own slots: the fan-out
+// runs it concurrently across centers. sc backs the transient arc
 // builder and covered-edge buffers.
 func (cl *centerLandmark) buildOne(sh *ssrp.Shared, c int32, seed seedReader, sc *engine.Scratch) ([][]int32, *auxProv, [2]int64) {
 	g := sh.G

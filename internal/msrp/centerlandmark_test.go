@@ -1,0 +1,77 @@
+package msrp
+
+import (
+	"context"
+	"testing"
+
+	"msrp/internal/graph"
+	"msrp/internal/ssrp"
+	"msrp/internal/xrand"
+)
+
+// cancelingSeed wraps a seedReader and cancels a context on the first
+// Get, recording which centers were probed — a deterministic mid-run
+// cancellation for the §8.2.2 stage.
+type cancelingSeed struct {
+	inner   seedReader
+	cancel  context.CancelFunc
+	calls   int
+	centers map[int32]bool
+}
+
+func (cs *cancelingSeed) Get(key uint64) (int32, bool) {
+	cs.calls++
+	if cs.calls == 1 {
+		cs.cancel()
+	}
+	cs.centers[int32(key>>(vertexBits+edgeBits))] = true
+	return cs.inner.Get(key)
+}
+func (cs *cancelingSeed) Len() int     { return cs.inner.Len() }
+func (cs *cancelingSeed) Bytes() int64 { return cs.inner.Bytes() }
+
+// TestCenterLandmarkCancellation is the §8.2.2 bugfix pin: the stage
+// used to run on a context-blind scheduler, so a cancelled solve still
+// paid all |C| per-center Dijkstras. Now a context cancelled mid-stage
+// stops the fan-out after the items already in flight (at P=1: exactly
+// the one center whose build observed the cancel), and a pre-cancelled
+// context runs nothing.
+func TestCenterLandmarkCancellation(t *testing.T) {
+	g := graph.RandomConnected(xrand.New(24), 40, 90)
+	sh, err := ssrp.NewShared(g, []int32{0, 5}, testParams(25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctr := newCenters(sh, sh.DeriveRNG())
+	var perSrc []*ssrp.PerSource
+	for _, s := range []int32{0, 5} {
+		ps := sh.NewPerSource(s)
+		ps.BuildSmallNear()
+		perSrc = append(perSrc, ps)
+	}
+	seed, _, err := buildSeedTable(context.Background(), sh, perSrc, ctr)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cs := &cancelingSeed{inner: seed, cancel: cancel, centers: map[int32]bool{}}
+	if _, err := buildCenterLandmark(ctx, sh, ctr, cs); err != context.Canceled {
+		t.Fatalf("mid-stage cancel: err = %v, want context.Canceled", err)
+	}
+	if cs.calls == 0 {
+		t.Fatal("canceling seed reader was never consulted — instance enumerates no covered edges")
+	}
+	if len(cs.centers) != 1 {
+		t.Fatalf("cancelled §8.2.2 stage probed %d centers at P=1, want exactly the in-flight one", len(cs.centers))
+	}
+
+	dead, cancel2 := context.WithCancel(context.Background())
+	cancel2()
+	if _, err := buildCenterLandmark(dead, sh, ctr, seed); err != context.Canceled {
+		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
+	}
+	if _, _, err := buildSeedTable(dead, sh, perSrc, ctr); err != context.Canceled {
+		t.Fatalf("pre-cancelled seed build: err = %v, want context.Canceled", err)
+	}
+}

@@ -87,36 +87,28 @@ type Stats struct {
 	// Stage-latency breakdown (the ROADMAP's "load shedding informed by
 	// measured build latency"). Every stage records wall time summed
 	// over its items — per-source builds, per-source seed enumerations,
-	// per-source merge work (scatter + partition folds in the streaming
-	// schedule; the single fold pass under a merge barrier), per-center
-	// §8.2.2 builds, per-source assembly — a measure that stays
-	// comparable when schedules overlap the stages arbitrarily.
+	// per-center §8.2.2 builds, per-source assembly — so each figure is
+	// the stage's busy time across workers, comparable at any
+	// Parallelism even though builds and enumerations overlap.
+	// StageSeedMerge is the exception: the merge is one sequential
+	// source-order fold of the per-source shards, timed once.
 	StagePerSourceBuild time.Duration
 	StageSeedEnumerate  time.Duration
 	StageSeedMerge      time.Duration
 	StageCenterLandmark time.Duration
 	StageAssembly       time.Duration
 
-	// Streaming-schedule readiness observability (zero under the
-	// barrier schedules). CentersReady counts centers whose §8.2.2
-	// build became runnable while other sources were still unretired —
-	// how much §8.2.2 work the readiness analysis released ahead of the
-	// last source. CentersOverlapped counts §8.2.2 builds that started
-	// while some source's build/enumerate/merge work was still running —
-	// the overlap the old stop-the-world merge barrier made impossible.
-	CentersReady      int
-	CentersOverlapped int
-
 	// PeakSeedPathBytes is the high-water mark of live §7.1
 	// path-expansion state (Dijkstra parent chains + [t,e] target maps)
 	// across the solve. Each source's state is released as soon as its
-	// seed shard is enumerated, so the pipelined schedule peaks at
-	// Θ(P·aux) — the in-flight sources — while the barrier schedule
-	// (Params.BarrierPipeline) builds all σ sources before enumerating
-	// any and peaks at Θ(σ·aux). The exact value is schedule-dependent
-	// at P > 1 (it measures real concurrent liveness); the Θ bound is
-	// not. Path tracking does not change it: the provenance snapshot is
-	// a separate, deliberately retained plane accounted below.
+	// seed shard is enumerated, so the solve peaks at Θ(P·aux) — the
+	// sources in flight — where building every source before
+	// enumerating any would peak at Θ(σ·aux) (EXPERIMENTS.md E14b). At
+	// P = 1 it is exactly the largest single source's state; at P > 1
+	// the value depends on how the workers interleave (it measures real
+	// concurrent liveness), the Θ bound does not. Path tracking does
+	// not change it: the provenance snapshot is a separate, deliberately
+	// retained plane accounted below.
 	PeakSeedPathBytes int64
 
 	// ProvenanceBytes is the retained footprint of the provenance plane
@@ -179,15 +171,19 @@ func SolveShared(sh *ssrp.Shared) (*Solution, error) {
 // state reachable from sh (the center-family RNG derivation is
 // idempotent), so retrying on the same Shared stays bit-identical.
 //
+// The stages run in the paper's order: per-source builds pipelined
+// with their §8.2.1 seed-shard enumerations, then one source-order
+// merge of the shards into the seed table, then the §8.2.2 per-center
+// fan-out, then the per-source assembly.
+//
 // With Params.TrackPaths the solve additionally retains the provenance
 // plane — each source's §7.1 witness snapshot is taken between its
-// seed-shard enumeration and ReleasePathState (in every schedule, so
-// the Θ(P·aux) pre-merge peak of the untracked pipelined solve is
-// untouched), the §8.1/§8.2.2 parent chains and the merged seed table
-// are kept (the partitioned table, under the streaming schedule), and
-// every PerSource gets the plane installed as its landmark-path
-// expander. Tracking is purely observational: lengths are bit-identical
-// with it on or off, at any worker count, in any schedule.
+// seed-shard enumeration and ReleasePathState (so the Θ(P·aux) peak of
+// live path state is untouched), the §8.1/§8.2.2 parent chains and the
+// merged seed table are kept, and every PerSource gets the plane
+// installed as its landmark-path expander. Tracking is purely
+// observational: lengths are bit-identical with it on or off, at any
+// worker count.
 func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error) {
 	g, sources, p := sh.G, sh.Sources, sh.Params
 	if err := checkPackable(g.NumVertices(), g.NumEdges()); err != nil {
@@ -207,20 +203,16 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 
 	// Per-source builds (trees, §7.1 graphs, §8.1 graphs) and §8.2.1
 	// seed-shard enumeration. A source's shard depends only on that
-	// source's build, so by default the two stages run as one
-	// dependency-aware pipeline over the engine pool: a worker
-	// finishing source i's build immediately enumerates source i's
-	// shard while other sources are still building (or unclaimed, and
-	// stealable). The only barrier left is the shard merge below —
-	// MinPut is commutative and idempotent, so contents are
-	// bit-identical at any worker count and any interleaving. Each
-	// worker's scratch carries the arc-builder arrays from item to item
-	// (and, via the pool free list, into the later stages).
+	// source's build, so the two stages run as one dependency-aware
+	// pipeline over the engine pool: a worker finishing source i's
+	// build immediately enumerates source i's shard while other sources
+	// are still building (or unclaimed, and stealable). Each worker's
+	// scratch carries the arc-builder arrays from item to item (and,
+	// via the pool free list, into the later stages).
 	//
 	// Memory: a source's §7.1 path-expansion state (the only input of
 	// its shard enumeration not needed afterwards) is released at the
-	// end of its stage B, so at most P sources' worth is live at once;
-	// the barrier schedule keeps all σ alive across its stage boundary.
+	// end of its stage B, so at most P sources' worth is live at once.
 	// liveSeedPathBytes/peak track that high-water mark.
 	perSrc := make([]*ssrp.PerSource, len(sources))
 	scs := make([]*sourceCenter, len(sources))
@@ -247,66 +239,14 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 		if perSrc[i].TrackPaths {
 			// The compact witness snapshot is taken between the shard
 			// enumeration (the last consumer of the full path state)
-			// and the release below, in both schedules — the retained
-			// provenance plane, not a path-state leak.
+			// and the release below — the retained provenance plane,
+			// not a path-state leak.
 			perSrc[i].Snap = perSrc[i].Small.SnapshotProvenance()
 		}
 		liveSeedPathBytes.Add(-perSrc[i].Small.ReleasePathState())
 		enumNanos.Add(time.Since(start).Nanoseconds())
 	}
-	// Three schedules, bit-identical outputs (the merge is commutative
-	// and idempotent; §8.2.2 state is index-owned):
-	//
-	//   BarrierPipeline — all builds, then all enumerations, then the
-	//   flat merge, then the barriered §8.2.2 fan-out (the pre-pipeline
-	//   schedule, kept for E14/E20 and the bit-identity tests).
-	//
-	//   SeedMergeBarrier — build→enumerate pipelined per source, but
-	//   the merge still stops the world and §8.2.2 waits behind it
-	//   (the PR 4 schedule, the E20 comparison point).
-	//
-	//   default (streaming) — build→enumerate pipelined per source;
-	//   each retiring source scatters its shard into per-center-
-	//   partition staging buckets; a partition whose registered
-	//   contributors have all retired is frozen and its centers' §8.2.2
-	//   builds drain through the engine's ready queue while other
-	//   sources are still building, enumerating, or folding. The only
-	//   ordering left is the true data dependency: a center's seed
-	//   entries before that center's G_c.
-	var cl *centerLandmark
-	var seed seedReader
-	var err error
-	switch {
-	case p.BarrierPipeline:
-		if err = sh.Pool.RunScratchCtx(ctx, len(sources), buildOne); err == nil {
-			err = sh.Pool.RunScratchCtx(ctx, len(sources), enumerateOne)
-		}
-	case p.SeedMergeBarrier:
-		err = sh.Pool.PipelineScratchCtx(ctx, len(sources), buildOne, enumerateOne)
-	default:
-		pl := newSeedPlan(sh, ctr)
-		cl = newCenterLandmark(sh, ctr)
-		err = sh.Pool.PipelineReadyScratchCtx(ctx, len(sources), buildOne,
-			func(i int, sc *engine.Scratch) {
-				enumerateOne(i, sc)
-				pl.retire(i, shards[i])
-				shards[i] = nil // staged into the plan's buckets now
-				pl.noteSourceDone()
-			},
-			pl.rq,
-			func(ci int, sc *engine.Scratch) {
-				pl.noteCenterStart()
-				cl.solveOne(sh, ci, pl.parts, sc)
-			})
-		if err == nil {
-			seed = pl.parts
-			stats.StageSeedMerge = time.Duration(pl.mergeNanos.Load())
-			stats.SeedRehashes = pl.rehashes()
-			stats.CentersReady = int(pl.centersReady.Load())
-			stats.CentersOverlapped = int(pl.centersOverlapped.Load())
-		}
-	}
-	if err != nil {
+	if err := sh.Pool.PipelineScratchCtx(ctx, len(sources), buildOne, enumerateOne); err != nil {
 		return nil, err
 	}
 	for i := range perSrc {
@@ -319,28 +259,22 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 	stats.StageSeedEnumerate = time.Duration(enumNanos.Load())
 	stats.PeakSeedPathBytes = peakSeedPathBytes.Load()
 
-	if cl == nil {
-		// Barrier schedules: the flat merge, then the barriered §8.2.2
-		// fan-out; ctx is re-checked between stages.
-		mergeStart := time.Now()
-		flat, seedRehashes := mergeSeedShards(shards)
-		seed = flat
-		stats.StageSeedMerge = time.Since(mergeStart)
-		stats.SeedRehashes = seedRehashes
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if cl, err = buildCenterLandmark(ctx, sh, ctr, seed); err != nil {
-			return nil, err
-		}
-	}
+	// The shard merge is the one cross-source barrier: MinPut is
+	// commutative and idempotent, so the merged contents are identical
+	// at any worker count, and the source-order fold fixes the layout.
+	mergeStart := time.Now()
+	seed, seedRehashes := mergeSeedShards(shards)
+	stats.StageSeedMerge = time.Since(mergeStart)
+	stats.SeedRehashes = seedRehashes
 	stats.SeedCount = seed.Len()
+
+	cl, err := buildCenterLandmark(ctx, sh, ctr, seed)
+	if err != nil {
+		return nil, err
+	}
 	stats.StageCenterLandmark = cl.BuildTime()
 	stats.CLNodes = cl.NumNodes()
 	stats.CLArcs = cl.NumArcs()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 
 	// Assembly + sweeps + final combine: independent per source again,
 	// with per-source counters merged afterwards.

@@ -11,8 +11,8 @@ import (
 
 // pipelineFamilies mirrors the public crosscheck families (plus the
 // skewed PathStarMix the work-stealing engine is measured on) at sizes
-// where the σ-source solve runs in milliseconds, so the schedule sweep
-// below stays cheap under -race.
+// where the σ-source solve runs in milliseconds, so the determinism
+// sweep below stays cheap under -race.
 func pipelineFamilies() []struct {
 	name    string
 	g       *graph.Graph
@@ -53,7 +53,7 @@ func pipelineFamilies() []struct {
 		fam("barbell", graph.Barbell(8, 7)),
 	}
 	// The skewed family: deep path-tail sources interleaved with star
-	// leaves, the shape that makes the pipelined schedule actually
+	// leaves, the shape that makes the pipelined stages actually
 	// overlap heavy builds with light enumerations.
 	psm := graph.PathStarMix(xrand.New(31), 60, 18, 12)
 	out = append(out, struct {
@@ -64,35 +64,40 @@ func pipelineFamilies() []struct {
 	return out
 }
 
-func solveSchedule(t *testing.T, g *graph.Graph, sources []int32, par int, barrier bool) ([]*rp.Result, *Stats) {
+// solveAt runs the full solve at the given worker count, with path
+// tracking on or off.
+func solveAt(t *testing.T, g *graph.Graph, sources []int32, par int, track bool) *Solution {
 	t.Helper()
 	p := testParams(77)
 	p.Parallelism = par
-	p.BarrierPipeline = barrier
-	results, stats, err := solveT(g, sources, p)
+	p.TrackPaths = track
+	sol, err := Solve(g, sources, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return results, stats
+	return sol
 }
 
-// TestPipelinedSolveMatchesBarrier is the pipeline's bit-identity
-// acceptance: for every family, the pipelined schedule at Parallelism
-// ∈ {1, 2, 8} returns results identical to the barrier schedule (the
-// pre-pipeline implementation) at every worker count. CI runs this
-// under -race, so it doubles as the data-race proof for the fused
-// build→enumerate stages and the early path-state release.
-func TestPipelinedSolveMatchesBarrier(t *testing.T) {
+// TestSchedulesBitIdentical is the solve's determinism sweep. The
+// stages always run in one order, but the engine schedules their items
+// differently at every worker count (inline at P=1, range-stealing with
+// build→enumerate overlap at P>1), and tracking adds a witness snapshot
+// inside the pipelined enumerate stage. For every family, each P ∈ {1,
+// 2, 8} with tracking off and on must return results bit-identical to
+// the P=1 untracked solve. CI runs this under -race, so it doubles as
+// the data-race proof for the pipelined stages, the early path-state
+// release and the tracked snapshots.
+func TestSchedulesBitIdentical(t *testing.T) {
 	for _, f := range pipelineFamilies() {
 		t.Run(f.name, func(t *testing.T) {
-			baseline, _ := solveSchedule(t, f.g, f.sources, 1, true)
+			baseline := solveAt(t, f.g, f.sources, 1, false)
 			for _, par := range []int{1, 2, 8} {
-				for _, barrier := range []bool{false, true} {
-					results, _ := solveSchedule(t, f.g, f.sources, par, barrier)
-					for i := range results {
-						if d := rp.Diff(baseline[i], results[i]); d != "" {
-							t.Fatalf("P=%d barrier=%v: source %d differs: %s",
-								par, barrier, f.sources[i], d)
+				for _, track := range []bool{false, true} {
+					sol := solveAt(t, f.g, f.sources, par, track)
+					for i := range sol.Results {
+						if d := rp.Diff(baseline.Results[i], sol.Results[i]); d != "" {
+							t.Fatalf("P=%d track=%v: source %d differs: %s",
+								par, track, f.sources[i], d)
 						}
 					}
 				}
@@ -101,25 +106,21 @@ func TestPipelinedSolveMatchesBarrier(t *testing.T) {
 	}
 }
 
-// TestPipelinePeakSeedPathBytes pins the memory contract at the
-// deterministic P=1 point: the barrier schedule holds every source's
-// §7.1 path-expansion state across its stage boundary (peak = the sum
-// over sources), while the pipelined schedule releases each source's
-// state before building the next (peak = the largest single source).
+// TestPipelinePeakSeedPathBytes pins the memory contract (E14b) at the
+// deterministic P=1 point: the pipelined solve releases each source's
+// §7.1 path-expansion state before building the next, so the peak is
+// the largest single source's state — not the sum over sources that
+// building every source before enumerating any would hold.
 func TestPipelinePeakSeedPathBytes(t *testing.T) {
 	g := graph.PathStarMix(xrand.New(5), 80, 24, 16)
 	sources := []int32{79, 80, 53, 84, 26, 88, 13, 92}
 
-	_, barrierStats := solveSchedule(t, g, sources, 1, true)
-	_, pipeStats := solveSchedule(t, g, sources, 1, false)
-
-	if barrierStats.PeakSeedPathBytes <= 0 || pipeStats.PeakSeedPathBytes <= 0 {
-		t.Fatalf("peak path-state bytes not recorded: barrier=%d pipelined=%d",
-			barrierStats.PeakSeedPathBytes, pipeStats.PeakSeedPathBytes)
+	peak := solveAt(t, g, sources, 1, false).Stats.PeakSeedPathBytes
+	if peak <= 0 {
+		t.Fatalf("peak path-state bytes not recorded: %d", peak)
 	}
-	// Reconstruct the two deterministic P=1 values independently.
-	p := testParams(77)
-	sh, err := ssrp.NewShared(g, sources, p)
+	// Reconstruct the deterministic P=1 value independently.
+	sh, err := ssrp.NewShared(g, sources, testParams(77))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,44 +134,37 @@ func TestPipelinePeakSeedPathBytes(t *testing.T) {
 			max = b
 		}
 	}
-	if barrierStats.PeakSeedPathBytes != sum {
-		t.Errorf("barrier peak = %d, want sum over sources %d", barrierStats.PeakSeedPathBytes, sum)
+	if peak != max {
+		t.Errorf("P=1 peak = %d, want max single source %d", peak, max)
 	}
-	if pipeStats.PeakSeedPathBytes != max {
-		t.Errorf("pipelined P=1 peak = %d, want max single source %d", pipeStats.PeakSeedPathBytes, max)
-	}
-	if pipeStats.PeakSeedPathBytes >= barrierStats.PeakSeedPathBytes {
-		t.Errorf("pipelined peak %d not below barrier peak %d",
-			pipeStats.PeakSeedPathBytes, barrierStats.PeakSeedPathBytes)
+	if peak >= sum {
+		t.Errorf("P=1 peak %d not below the sum over sources %d", peak, sum)
 	}
 }
 
-// TestStageLatencyBreakdown: the new Stats stage timers are populated
-// (every stage of a non-trivial solve takes measurable time) and the
-// pipelined schedule reports the same stages as the barrier one.
+// TestStageLatencyBreakdown: the Stats stage timers are populated
+// (every stage of a non-trivial solve takes measurable time).
 func TestStageLatencyBreakdown(t *testing.T) {
 	g := graph.CycleWithChords(xrand.New(8), 72, 8)
 	sources := []int32{0, 24, 48}
-	for _, barrier := range []bool{false, true} {
-		_, stats := solveSchedule(t, g, sources, 2, barrier)
-		for _, st := range []struct {
-			name string
-			d    int64
-		}{
-			{"per-source build", int64(stats.StagePerSourceBuild)},
-			{"seed enumerate", int64(stats.StageSeedEnumerate)},
-			{"center landmark", int64(stats.StageCenterLandmark)},
-			{"assembly", int64(stats.StageAssembly)},
-		} {
-			if st.d <= 0 {
-				t.Errorf("barrier=%v: stage %q recorded no time", barrier, st.name)
-			}
+	stats := solveAt(t, g, sources, 2, false).Stats
+	for _, st := range []struct {
+		name string
+		d    int64
+	}{
+		{"per-source build", int64(stats.StagePerSourceBuild)},
+		{"seed enumerate", int64(stats.StageSeedEnumerate)},
+		{"center landmark", int64(stats.StageCenterLandmark)},
+		{"assembly", int64(stats.StageAssembly)},
+	} {
+		if st.d <= 0 {
+			t.Errorf("stage %q recorded no time", st.name)
 		}
-		// The merge can round to zero on a tiny table, but must never
-		// be negative.
-		if stats.StageSeedMerge < 0 {
-			t.Errorf("barrier=%v: negative merge time", barrier)
-		}
+	}
+	// The merge can round to zero on a tiny table, but must never be
+	// negative.
+	if stats.StageSeedMerge < 0 {
+		t.Error("negative merge time")
 	}
 }
 

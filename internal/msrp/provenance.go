@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"msrp/internal/bfs"
+	"msrp/internal/cuckoo"
 	"msrp/internal/rp"
 	"msrp/internal/ssrp"
 )
@@ -45,18 +46,16 @@ type Provenance struct {
 	perSrc []*ssrp.PerSource
 	scs    []*sourceCenter
 	cl     *centerLandmark
-	// seed is the merged §8.2.1 table behind the seedReader interface:
-	// a flat cuckoo.Table from the barrier schedules, a
-	// cuckoo.Partitioned from the streaming one — the explain pass only
-	// needs the O(1) Get either provides.
-	seed seedReader
+	// seed is the merged §8.2.1 table; the explain pass re-reads the
+	// [c]→[r,e] arc weights of G_c from it.
+	seed *cuckoo.Table
 }
 
 // newProvenance bundles the retained artifacts after the pipeline
 // stages have run. It installs itself as every source's landmark-path
 // expander.
 func newProvenance(sh *ssrp.Shared, ctr *Centers, perSrc []*ssrp.PerSource,
-	scs []*sourceCenter, cl *centerLandmark, seed seedReader) *Provenance {
+	scs []*sourceCenter, cl *centerLandmark, seed *cuckoo.Table) *Provenance {
 	pv := &Provenance{sh: sh, ctr: ctr, perSrc: perSrc, scs: scs, cl: cl, seed: seed}
 	for i := range perSrc {
 		si := i

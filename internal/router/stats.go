@@ -107,11 +107,6 @@ func aggregate(parts []*server.StatsResponse) server.StatsResponse {
 		if p.WarmPeakSeedPathBytes > agg.WarmPeakSeedPathBytes {
 			agg.WarmPeakSeedPathBytes = p.WarmPeakSeedPathBytes
 		}
-		// Overlap counters are work counts, not latencies: each replica's
-		// slice warm released its own centers early, so the fleet total is
-		// the sum, like the other counters.
-		agg.WarmCentersReady += p.WarmCentersReady
-		agg.WarmCentersOverlapped += p.WarmCentersOverlapped
 	}
 	if lookups := agg.Hits + agg.Misses; lookups > 0 {
 		agg.HitRate = float64(agg.Hits) / float64(lookups)

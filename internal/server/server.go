@@ -559,22 +559,15 @@ type StatsResponse struct {
 
 	// Stage-latency breakdown of the most recent completed warm (zero
 	// before any) and its peak live §7.1 path-expansion state — the
-	// measured-latency inputs for load shedding. Every stage is wall
-	// time summed over its items (sources, merge slices, centers), so
-	// the numbers stay comparable across the overlapped schedules.
+	// measured-latency inputs for load shedding. Every stage but the
+	// single merge fold is wall time summed over its items (sources,
+	// centers), so the numbers stay comparable at any parallelism.
 	WarmStageBuildMillis          float64 `json:"warmStageBuildMillis"`
 	WarmStageSeedEnumerateMillis  float64 `json:"warmStageSeedEnumerateMillis"`
 	WarmStageSeedMergeMillis      float64 `json:"warmStageSeedMergeMillis"`
 	WarmStageCenterLandmarkMillis float64 `json:"warmStageCenterLandmarkMillis"`
 	WarmStageAssemblyMillis       float64 `json:"warmStageAssemblyMillis"`
 	WarmPeakSeedPathBytes         int64   `json:"warmPeakSeedPathBytes"`
-
-	// Streaming-overlap counters of that same warm: §8.2.2 center
-	// solves released while sources were still running, and center
-	// solves started before the last source retired. Zero under the
-	// barrier schedules.
-	WarmCentersReady      int64 `json:"warmCentersReady"`
-	WarmCentersOverlapped int64 `json:"warmCentersOverlapped"`
 }
 
 // millis converts a duration to fractional milliseconds for the wire.
@@ -615,9 +608,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		WarmStageCenterLandmarkMillis: millis(st.WarmStages.CenterLandmark),
 		WarmStageAssemblyMillis:       millis(st.WarmStages.Assembly),
 		WarmPeakSeedPathBytes:         st.WarmPeakSeedPathBytes,
-
-		WarmCentersReady:      st.WarmCentersReady,
-		WarmCentersOverlapped: st.WarmCentersOverlapped,
 	})
 }
 

@@ -48,33 +48,6 @@ type Params struct {
 	// stage slows from Õ(n) to Õ(n√(nσ)) per target.
 	FlatLandmarks bool
 
-	// BarrierPipeline disables the cross-stage pipelining of the MSRP
-	// solve's per-source stages: the §7.1/§8.1 builds of every source
-	// run to completion before the first §8.2.1 seed shard is
-	// enumerated (the pre-pipeline schedule), instead of each source
-	// flowing build → enumerate with no barrier until the shard merge.
-	// Output is bit-identical either way (the merge is commutative and
-	// idempotent); the flag exists for the E14 comparison and the
-	// pipeline regression tests. The barrier schedule also holds every
-	// source's §7.1 path-expansion state live at once — Θ(σ·aux) versus
-	// the pipelined Θ(P·aux) — which Stats.PeakSeedPathBytes measures.
-	BarrierPipeline bool
-
-	// SeedMergeBarrier keeps the per-source pipelining (build → seed
-	// enumeration flows without a barrier) but retains the stop-the-world
-	// seed-shard merge and the barriered §8.2.2 stage that follow it —
-	// the schedule the pipelined solve shipped with before the
-	// readiness-gated streaming merge. The default (both this and
-	// BarrierPipeline false) streams instead: shard entries scatter into
-	// per-center-partition merge targets as each source retires, frozen
-	// partitions release their centers' §8.2.2 builds while other
-	// sources are still building or merging. Output is bit-identical in
-	// all three schedules (the merge is commutative and idempotent, and
-	// every partition is read only after its freeze); the flag exists for
-	// the E20 comparison and the schedule-equivalence regression tests.
-	// BarrierPipeline=true supersedes this flag.
-	SeedMergeBarrier bool
-
 	// TrackPaths records provenance during the solve — one entry per
 	// answer plus the compact per-source witness snapshots — so
 	// PerSource.ReconstructPath can expand any finite answer into a

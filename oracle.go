@@ -145,10 +145,6 @@ type Oracle struct {
 	// guarded by mu (written once per warm, far off the query path).
 	warmStages        StageTimes
 	warmPeakSeedBytes int64
-	// Streaming-overlap counters of that same warm (guarded by mu,
-	// zero under the barrier schedules).
-	warmCentersReady      int64
-	warmCentersOverlapped int64
 
 	// provBytes tracks the retained provenance plane (guarded by mu):
 	// per-entry snapshot/provenance bytes move with LRU inserts,
@@ -183,9 +179,9 @@ type Oracle struct {
 
 // StageTimes is the per-stage latency breakdown of one §8 batch solve
 // (the pipeline Warm runs). Every stage is wall time summed over its
-// items — sources for build/enumeration/assembly, scatter+fold slices
-// for the seed merge, centers for the §8.2.2 stage — the measure that
-// stays comparable when the streaming schedule overlaps all of them.
+// items — sources for build/enumeration/assembly, centers for the
+// §8.2.2 stage — the measure that stays comparable at any parallelism;
+// the seed merge is one sequential fold, timed once.
 // Serving front-ends use the build-side numbers to inform load
 // shedding with measured latency rather than a static cap.
 type StageTimes struct {
@@ -265,20 +261,10 @@ type OracleStats struct {
 	// completed Warm pipeline (zero before any warm completes).
 	WarmStages StageTimes
 	// WarmPeakSeedPathBytes is that pipeline's high-water mark of live
-	// §7.1 path-expansion state — Θ(Parallelism·aux) on the default
-	// pipelined schedule (each source's state is released as soon as
-	// its seed shard is enumerated).
+	// §7.1 path-expansion state — Θ(Parallelism·aux), because each
+	// source's state is released as soon as its seed shard is
+	// enumerated.
 	WarmPeakSeedPathBytes int64
-	// WarmCentersReady counts the §8.2.2 center solves of the most
-	// recent completed Warm that the streaming schedule released while
-	// at least one source was still building or enumerating — overlap
-	// the seed-merge barrier used to forbid. WarmCentersOverlapped
-	// counts center solves that actually started before every source
-	// finished; it is scheduling-dependent (workers prefer source
-	// stages), so neither counter bounds the other. Both are zero
-	// under the barrier schedules.
-	WarmCentersReady      int64
-	WarmCentersOverlapped int64
 }
 
 // HitRate returns the fraction of cache lookups served without
@@ -318,8 +304,6 @@ func (o *Oracle) Stats() OracleStats {
 	o.mu.Lock()
 	warmStages := o.warmStages
 	warmPeak := o.warmPeakSeedBytes
-	warmReady := o.warmCentersReady
-	warmOverlap := o.warmCentersOverlapped
 	provBytes := o.provBytes
 	provEvictions := o.provenanceEvictions
 	provRebuilds := o.provenanceRebuilds
@@ -333,20 +317,18 @@ func (o *Oracle) Stats() OracleStats {
 		ProvenanceRebuildRejects: o.rebuildRejects.Load(),
 		ProvenanceRawBytes:       provRaw,
 		ProvenanceCompactedBytes: provCompacted,
-		Hits:                  o.hits.Load(),
-		Misses:                o.misses.Load(),
-		Builds:                o.builds.Load(),
-		BuildTime:             time.Duration(o.buildNanos.Load()),
-		Evictions:             o.evictions.Load(),
-		Batches:               o.batches.Load(),
-		BatchQueries:          o.batchQueries.Load(),
-		Warms:                 o.warms.Load(),
-		Rejections:            o.rejections.Load(),
-		Cancellations:         o.cancellations.Load(),
-		WarmStages:            warmStages,
-		WarmPeakSeedPathBytes: warmPeak,
-		WarmCentersReady:      warmReady,
-		WarmCentersOverlapped: warmOverlap,
+		Hits:                     o.hits.Load(),
+		Misses:                   o.misses.Load(),
+		Builds:                   o.builds.Load(),
+		BuildTime:                time.Duration(o.buildNanos.Load()),
+		Evictions:                o.evictions.Load(),
+		Batches:                  o.batches.Load(),
+		BatchQueries:             o.batchQueries.Load(),
+		Warms:                    o.warms.Load(),
+		Rejections:               o.rejections.Load(),
+		Cancellations:            o.cancellations.Load(),
+		WarmStages:               warmStages,
+		WarmPeakSeedPathBytes:    warmPeak,
 	}
 }
 
@@ -711,8 +693,6 @@ func (o *Oracle) WarmContext(ctx context.Context) error {
 				Assembly:       solveStats.StageAssembly,
 			}
 			o.warmPeakSeedBytes = solveStats.PeakSeedPathBytes
-		o.warmCentersReady = int64(solveStats.CentersReady)
-		o.warmCentersOverlapped = int64(solveStats.CentersOverlapped)
 			switch {
 			case sol.Compact != nil:
 				o.provRawBytes = rawProvBytes
