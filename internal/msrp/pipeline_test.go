@@ -1,8 +1,10 @@
 package msrp
 
 import (
+	"context"
 	"testing"
 
+	"msrp/internal/engine"
 	"msrp/internal/graph"
 	"msrp/internal/rp"
 	"msrp/internal/ssrp"
@@ -98,6 +100,76 @@ func TestSchedulesBitIdentical(t *testing.T) {
 						if d := rp.Diff(baseline.Results[i], sol.Results[i]); d != "" {
 							t.Fatalf("P=%d track=%v: source %d differs: %s",
 								par, track, f.sources[i], d)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// solveBarrier is a test-only reference composition of the solve's
+// stages with a barrier after each one: every source is built, then
+// every seed shard is enumerated (no path state released in between),
+// then the merge, the §8.2.2 fan-out and the assembly run. It shares
+// the stage functions with SolveSharedContext but none of its
+// build→enumerate pipelining.
+func solveBarrier(t *testing.T, g *graph.Graph, sources []int32, par int) []*rp.Result {
+	t.Helper()
+	p := testParams(77)
+	p.Parallelism = par
+	sh, err := ssrp.NewShared(g, sources, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctr := newCenters(sh, sh.DeriveRNG())
+	perSrc := make([]*ssrp.PerSource, len(sources))
+	scs := make([]*sourceCenter, len(sources))
+	sh.Pool.RunScratch(len(sources), func(i int, sc *engine.Scratch) {
+		perSrc[i] = sh.NewPerSource(sources[i])
+		perSrc[i].BuildSmallNearScratch(sc)
+		scs[i] = buildSourceCenter(perSrc[i], ctr, sc)
+	})
+	seed, _, err := buildSeedTable(context.Background(), sh, perSrc, ctr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := buildCenterLandmark(context.Background(), sh, ctr, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]*rp.Result, len(sources))
+	sh.Pool.RunScratch(len(sources), func(i int, sc *engine.Scratch) {
+		ps := perSrc[i]
+		ps.SetLenSR(assembleLenSR(ps, ctr, scs[i], cl, sc))
+		sweepLandmarks(ps, maxSweeps)
+		results[i] = ps.Combine(&ssrp.Stats{})
+	})
+	return results
+}
+
+// TestPipelinedSolveMatchesBarrier is the pipeline's bit-identity
+// acceptance: for every family, the pipelined solve at Parallelism ∈
+// {1, 2, 8} returns results identical to the barrier-ordered reference
+// (solveBarrier) at every worker count. Under -race it covers the
+// fused build→enumerate stages and the early path-state release
+// against a composition that has neither.
+func TestPipelinedSolveMatchesBarrier(t *testing.T) {
+	for _, f := range pipelineFamilies() {
+		t.Run(f.name, func(t *testing.T) {
+			baseline := solveBarrier(t, f.g, f.sources, 1)
+			for _, par := range []int{1, 2, 8} {
+				for _, barrier := range []bool{false, true} {
+					var results []*rp.Result
+					if barrier {
+						results = solveBarrier(t, f.g, f.sources, par)
+					} else {
+						results = solveAt(t, f.g, f.sources, par, false).Results
+					}
+					for i := range results {
+						if d := rp.Diff(baseline[i], results[i]); d != "" {
+							t.Fatalf("P=%d barrier=%v: source %d differs: %s",
+								par, barrier, f.sources[i], d)
 						}
 					}
 				}
