@@ -1,6 +1,7 @@
 package msrp
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -108,14 +109,24 @@ type Oracle struct {
 	// pool per batch made every batched lazy build regrow its scratch
 	// from nothing.
 	seq *engine.Pool
+	// compact re-encodes a tracked warm's provenance plane into
+	// per-source records ((*msrpcore.Solution).CompactProvenance; a field
+	// so tests can force its failure path).
+	compact func(*msrpcore.Solution) error
 
-	mu       sync.Mutex
-	cache    map[int]*lruEntry
-	lruHead  *lruEntry // most recently used
-	lruTail  *lruEntry // least recently used; next eviction
-	inflight map[int]*oracleCall
-	warming  *warmCall // in-flight Warm, nil when idle (single-flight)
-	warmed   bool      // a Warm pipeline has completed; repeats are no-ops
+	mu    sync.Mutex
+	cache map[int]*entry
+	// lru orders every cached entry by use; its back is the next
+	// MaxCachedSources eviction. prov orders the entries holding
+	// provenance by path-query recency; its back is the next
+	// MaxProvenanceBytes strip. Both hold *entry values.
+	lru, prov list.List
+	// inflight is the single-flight table: one flight per source whose
+	// lazy build or provenance rebuild is running. Every build on a
+	// tracked oracle is tracked, so the source alone is the key.
+	inflight map[int]*flight
+	warming  *flight // in-flight Warm, nil when idle (single-flight)
+	warmed   bool    // a Warm pipeline has completed; repeats are no-ops
 
 	// rebuildSem bounds concurrent on-demand tracked rebuilds (path
 	// queries against budget-stripped sources); nil = unbounded. Slots
@@ -146,18 +157,12 @@ type Oracle struct {
 	warmStages        StageTimes
 	warmPeakSeedBytes int64
 
-	// provBytes tracks the retained provenance plane (guarded by mu):
-	// per-entry snapshot/provenance bytes move with LRU inserts,
-	// evictions, and budget strips.
-	provBytes int64
-	// The provenance tier (guarded by mu): a second LRU over the cache
-	// entries that carry individually-freeable provenance, ordered by
-	// path-query recency. When provBytes exceeds
-	// Options.MaxProvenanceBytes the tail entries are stripped — their
-	// provenance dropped, their cached lengths kept — and a later path
+	// provBytes is the provenance gauge (guarded by mu): the sum of the
+	// cached entries' provBytes. When it exceeds
+	// Options.MaxProvenanceBytes the back of prov is stripped — its
+	// provenance dropped, its cached lengths kept — and a later path
 	// query rebuilds tracked state through the single-flight path.
-	provHead *lruEntry // most recently path-queried
-	provTail *lruEntry // least recently path-queried; next strip
+	provBytes int64
 	// Tier counters and the compaction before/after record of the most
 	// recent Warm (all guarded by mu; they are only written under it).
 	provenanceEvictions int64
@@ -167,14 +172,6 @@ type Oracle struct {
 	// rebuildRejects counts rebuild attempts turned away by rebuildSem
 	// (an atomic: it is bumped after mu is released).
 	rebuildRejects atomic.Int64
-	// warmProv pins the warm provenance plane (guarded by mu) — but only
-	// on the fallback path where post-solve compaction failed and the
-	// full shared §8 plane (parent chains, seed table, center forest)
-	// must stay alive as one immortal unit. The normal path compacts the
-	// plane into self-contained per-source records that live and die
-	// with their cache entries, so nothing needs pinning and the byte
-	// budget can actually free memory.
-	warmProv *msrpcore.Solution
 }
 
 // StageTimes is the per-stage latency breakdown of one §8 batch solve
@@ -233,12 +230,9 @@ type OracleStats struct {
 	// plane into self-contained per-source records and contributes those
 	// per entry too. Either way an entry's provenance is freed by LRU
 	// eviction or by a MaxProvenanceBytes budget strip, so the gauge
-	// tracks memory that can actually be reclaimed. (Fallback fine
-	// print: if post-warm compaction fails, the full plane is pinned for
-	// the oracle's lifetime and counted once — recognizable by
-	// ProvenanceCompactedBytes staying 0 after a tracked warm.) 0 on
-	// untracked oracles. Unlike the other counters it is a gauge, not a
-	// monotone counter.
+	// tracks memory that can actually be reclaimed and never exceeds the
+	// budget. 0 on untracked oracles. Unlike the other counters it is a
+	// gauge, not a monotone counter.
 	ProvenanceBytes int64
 	// ProvenanceEvictions counts sources whose provenance was dropped by
 	// the MaxProvenanceBytes budget. The source's lengths stay cached
@@ -254,7 +248,8 @@ type OracleStats struct {
 	// ProvenanceRawBytes and ProvenanceCompactedBytes record the most
 	// recent completed Warm's provenance plane before and after
 	// post-solve compaction (zero before any tracked warm; compacted
-	// stays zero if compaction fell back to pinning the raw plane).
+	// stays zero if compaction failed and the warm's entries were
+	// installed lengths-only).
 	ProvenanceRawBytes       int64
 	ProvenanceCompactedBytes int64
 	// WarmStages is the stage-latency breakdown of the most recent
@@ -344,29 +339,35 @@ func (o *Oracle) RecordRejection() { o.rejections.Add(1) }
 // derive admission-control defaults from MaxCachedSources.
 func (o *Oracle) Options() Options { return o.opts }
 
-type lruEntry struct {
-	s          int
-	res        *Result
-	provBytes  int64 // per-entry provenance footprint, for the gauge
-	prev, next *lruEntry
-	// Provenance-tier links: a second LRU (ordered by path-query
-	// recency) over the entries whose provenance is individually
-	// freeable. inProv marks membership; stripped and zero-weight
-	// entries are not linked.
-	provPrev, provNext *lruEntry
-	inProv             bool
+// entry is one cached source: its element in Oracle.lru, and in
+// Oracle.prov while it holds provenance (nil once stripped, and for
+// untracked or lengths-only entries).
+type entry struct {
+	s         int
+	res       *Result
+	provBytes int64 // provenance footprint, for the gauge
+	lru, prov *list.Element
 }
 
-type oracleCall struct {
+// flight is one in-flight build or Warm shared by every concurrent
+// caller (single-flight): the leader sets res or err, then closes done.
+type flight struct {
 	done chan struct{}
 	res  *Result
+	err  error
 }
 
-// warmCall is one in-flight Warm shared by every concurrent caller
-// (single-flight): joiners wait on done and share err.
-type warmCall struct {
-	done chan struct{}
-	err  error
+func newFlight() *flight { return &flight{done: make(chan struct{})} }
+
+// wait blocks until the flight lands or ctx is done; a joiner that
+// detaches with ctx.Err() leaves the flight running for everyone else.
+func (f *flight) wait(ctx context.Context) error {
+	select {
+	case <-f.done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // NewOracle prepares an oracle over the given sources. Only the shared
@@ -392,8 +393,9 @@ func NewOracle(g *Graph, sources []int, opts Options) (*Oracle, error) {
 		sh:       sh,
 		pool:     sh.Pool,
 		seq:      engine.New(1),
-		cache:    make(map[int]*lruEntry, len(sources)),
-		inflight: make(map[int]*oracleCall),
+		compact:  (*msrpcore.Solution).CompactProvenance,
+		cache:    make(map[int]*entry, len(sources)),
+		inflight: make(map[int]*flight),
 	}
 	for _, s := range sources {
 		o.isSource[s] = true
@@ -466,7 +468,7 @@ func (o *Oracle) WarmSources(ctx context.Context, sources []int) error {
 		}
 	}
 	err := o.pool.RunCtx(ctx, len(sources), func(i int) {
-		_, _ = o.result(ctx, sources[i], o.seq) // validated above; err is only ctx
+		_, _ = o.result(ctx, sources[i], o.seq, false) // validated above; err is only ctx
 	})
 	if err != nil {
 		o.cancellations.Add(1)
@@ -477,7 +479,7 @@ func (o *Oracle) WarmSources(ctx context.Context, sources []int) error {
 // Query answers a single replacement-path question; s must be one of
 // the oracle's sources. Safe for concurrent use.
 func (o *Oracle) Query(s, t, u, v int) (int32, error) {
-	res, err := o.result(context.Background(), s, o.pool)
+	res, err := o.result(context.Background(), s, o.pool, false)
 	if err != nil {
 		return 0, err
 	}
@@ -487,7 +489,10 @@ func (o *Oracle) Query(s, t, u, v int) (int32, error) {
 // QueryBatch answers a batch of queries, one Answer per Query in
 // order. Sources that are not yet materialized are built concurrently
 // (sharded across the engine pool), each exactly once even under
-// concurrent batches. Safe for concurrent use.
+// concurrent batches. When rebuild admission turns away a
+// budget-stripped source, only its path items carry
+// ErrRebuildSaturated; its length items are answered from the cached
+// entry. Safe for concurrent use.
 func (o *Oracle) QueryBatch(queries []Query) []Answer {
 	answers, _ := o.QueryBatchContext(context.Background(), queries)
 	return answers
@@ -511,7 +516,7 @@ func (o *Oracle) QueryBatchContext(ctx context.Context, queries []Query) ([]Answ
 
 	// Group query indices by source, keeping first-seen order, and note
 	// which sources need provenance present (a path query against a
-	// budget-stripped source must go through the rebuilding path).
+	// budget-stripped source rebuilds it).
 	bySource := make(map[int][]int)
 	needPaths := make(map[int]bool)
 	var order []int
@@ -537,11 +542,8 @@ func (o *Oracle) QueryBatchContext(ctx context.Context, queries []Query) ([]Answ
 	results := make([]*Result, len(order))
 	errs := make([]error, len(order))
 	err := o.pool.RunCtx(ctx, len(order), func(i int) {
-		if needPaths[order[i]] {
-			results[i], errs[i] = o.resultWithPaths(ctx, order[i], o.seq)
-		} else {
-			results[i], errs[i] = o.result(ctx, order[i], o.seq) // source validated above
-		}
+		s := order[i] // validated above
+		results[i], errs[i] = o.result(ctx, s, o.seq, needPaths[s])
 	})
 	if err != nil {
 		o.cancellations.Add(1)
@@ -549,22 +551,16 @@ func (o *Oracle) QueryBatchContext(ctx context.Context, queries []Query) ([]Answ
 	}
 
 	for i, s := range order {
-		res := results[i]
-		if res == nil {
-			// The source failed to materialize — rebuild admission
-			// (ErrRebuildSaturated) or a per-source cancellation race.
-			// Per-item verdicts, never a lost answer.
-			serr := errs[i]
-			if serr == nil {
-				serr = fmt.Errorf("msrp: source %d failed to materialize", s)
-			}
-			for _, qi := range bySource[s] {
-				answers[qi].Err = serr
-			}
-			continue
-		}
+		res, serr := results[i], errs[i]
 		for _, qi := range bySource[s] {
 			q := queries[qi]
+			// A rebuild turned away by admission (ErrRebuildSaturated)
+			// still returns the stripped entry: its length items are
+			// answered, its path items carry the error.
+			if serr != nil && q.Paths {
+				answers[qi].Err = serr
+				continue
+			}
 			// One edge resolution serves both the length lookup and the
 			// optional path expansion.
 			idx, err := res.pathEdgeIndex(q.Target, q.U, q.V)
@@ -587,7 +583,7 @@ func (o *Oracle) QueryBatchContext(ctx context.Context, queries []Query) ([]Answ
 // case). The oracle must have been built with Options.TrackPaths, else
 // ErrPathsNotTracked. Safe for concurrent use.
 func (o *Oracle) QueryPath(s, t, u, v int) ([]int32, error) {
-	res, err := o.resultWithPaths(context.Background(), s, o.pool)
+	res, err := o.result(context.Background(), s, o.pool, true)
 	if err != nil {
 		return nil, err
 	}
@@ -596,9 +592,13 @@ func (o *Oracle) QueryPath(s, t, u, v int) ([]int32, error) {
 
 // Result returns the full per-source result, materializing it if
 // needed, or nil when s is not an oracle source. Safe for concurrent
-// use. The result stays valid even after the LRU evicts it.
+// use. The result stays valid even after the LRU evicts it. On a
+// tracked oracle, a source whose provenance the MaxProvenanceBytes
+// budget stripped returns its cached lengths-only Result, whose path
+// expansion reports ErrPathsNotTracked; QueryPath rebuilds the
+// provenance instead.
 func (o *Oracle) Result(s int) *Result {
-	res, err := o.result(context.Background(), s, o.pool)
+	res, err := o.result(context.Background(), s, o.pool, false)
 	if err != nil {
 		return nil
 	}
@@ -638,28 +638,23 @@ func (o *Oracle) WarmContext(ctx context.Context) error {
 			o.mu.Unlock()
 			return nil
 		}
-		if c := o.warming; c != nil {
+		if f := o.warming; f != nil {
 			o.mu.Unlock()
-			select {
-			case <-c.done:
-				if c.err == nil {
-					return nil
-				}
-				// The leader's run failed. If it died of its *own*
-				// context (not ours — ours is checked at the top of the
-				// loop), the failure says nothing about our request:
-				// retry, becoming the leader if the slot is still free.
-				if errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded) {
-					continue
-				}
-				return c.err
-			case <-ctx.Done():
+			if err := f.wait(ctx); err != nil {
 				o.cancellations.Add(1)
-				return ctx.Err()
+				return err
 			}
+			// If the leader's run died of its *own* context (not ours —
+			// ours is checked at the top of the loop), the failure says
+			// nothing about our request: retry, becoming the leader if
+			// the slot is still free.
+			if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
+				continue
+			}
+			return f.err
 		}
-		c := &warmCall{done: make(chan struct{})}
-		o.warming = c
+		f := newFlight()
+		o.warming = f
 		o.mu.Unlock()
 
 		sol, err := msrpcore.SolveSharedContext(ctx, o.sh)
@@ -670,14 +665,15 @@ func (o *Oracle) WarmContext(ctx context.Context) error {
 		// Compaction replaces the shared §8 plane — parent chains, seed
 		// table, center forest, whose explain reach made warm provenance
 		// one immortal unit — with self-contained per-source records
-		// that the LRU and the byte budget can free individually.
+		// that the LRU and the byte budget can free individually. If it
+		// fails, the warm's entries are installed lengths-only and the
+		// raw plane is dropped: path queries rebuild them like any
+		// budget-stripped entry.
 		var rawProvBytes int64
+		compacted := false
 		if err == nil && sol.Prov != nil {
 			rawProvBytes = sol.Stats.ProvenanceBytes
-			// On error the full plane stays installed and functional;
-			// the fallback below pins it exactly as pre-compaction
-			// oracles did.
-			_ = sol.CompactProvenance()
+			compacted = o.compact(sol) == nil
 		}
 
 		o.mu.Lock()
@@ -693,31 +689,21 @@ func (o *Oracle) WarmContext(ctx context.Context) error {
 				Assembly:       solveStats.StageAssembly,
 			}
 			o.warmPeakSeedBytes = solveStats.PeakSeedPathBytes
-			switch {
-			case sol.Compact != nil:
-				o.provRawBytes = rawProvBytes
+			o.provRawBytes = rawProvBytes
+			if compacted {
 				o.provCompactedBytes = solveStats.ProvenanceBytes
-			case sol.Prov != nil:
-				// Compaction failed: pin the raw plane for the oracle's
-				// lifetime and count it once (zero per-entry weight
-				// below — evicting an entry frees nothing of it).
-				// ProvenanceCompactedBytes staying 0 flags this mode.
-				o.warmProv = sol
-				o.provBytes += rawProvBytes
-				o.provRawBytes = rawProvBytes
 			}
 			for i, s := range o.sources {
-				if _, ok := o.cache[s]; !ok {
-					res := wrapResult(o.g.g, sol.Results[i])
-					var pb int64
-					if sol.PerSource[i].TrackPaths {
-						res.ps = sol.PerSource[i]
-						if sol.Compact != nil {
-							pb = sol.PerSource[i].ProvenanceBytes() + sol.Compact[i].Bytes()
-						}
-					}
-					o.insertLocked(s, res, pb)
+				if o.cache[s] != nil {
+					continue
 				}
+				res := wrapResult(o.g.g, sol.Results[i])
+				var pb int64
+				if compacted {
+					res.ps = sol.PerSource[i]
+					pb = res.ProvenanceBytes() + sol.Compact[i].Bytes()
+				}
+				o.putLocked(s, res, pb)
 			}
 		}
 		o.warming = nil
@@ -725,8 +711,8 @@ func (o *Oracle) WarmContext(ctx context.Context) error {
 		if err != nil && ctx.Err() != nil {
 			o.cancellations.Add(1)
 		}
-		c.err = err
-		close(c.done)
+		f.err = err
+		close(f.done)
 		return err
 	}
 }
@@ -743,193 +729,110 @@ func (o *Oracle) CachedSources() int {
 // once across concurrent callers (single-flight). pool bounds the
 // landmark fan-out of a build triggered by this call.
 //
+// With paths set on a tracked oracle the result must carry provenance:
+// a cached entry without it (budget-stripped, or installed
+// lengths-only by a Warm whose compaction failed) is rebuilt through
+// the same flight a cold miss uses, under rebuildSem admission. When
+// admission turns the rebuild away, the cached lengths-only Result
+// comes back alongside ErrRebuildSaturated, so a batch still answers
+// that source's length items. Otherwise a nil Result comes only with
+// ErrNotSource or ctx's error.
+//
 // Cancellation boundary: ctx is observed before starting or joining a
 // build — never during one. A build that has started always runs to
 // completion and is cached, so the LRU can never hold partial state
 // and single-flight joiners always receive a complete result; a joiner
 // whose ctx cancels mid-wait detaches with ctx.Err() while the build
 // continues for everyone else.
-func (o *Oracle) result(ctx context.Context, s int, pool *engine.Pool) (*Result, error) {
+func (o *Oracle) result(ctx context.Context, s int, pool *engine.Pool, paths bool) (*Result, error) {
 	if !o.isSource[s] {
 		return nil, notSourceError(s)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	paths = paths && o.opts.TrackPaths
 	o.mu.Lock()
-	if e, ok := o.cache[s]; ok {
-		o.touchLocked(e)
+	e := o.cache[s]
+	if e != nil && (!paths || e.res.ps != nil) {
+		o.touchLocked(e, paths)
 		res := e.res
 		o.mu.Unlock()
 		o.hits.Add(1)
 		return res, nil
 	}
-	if c, ok := o.inflight[s]; ok {
+	if f := o.inflight[s]; f != nil {
+		// Every build on a tracked oracle is tracked and its flight
+		// serves it with provenance, so joining answers paths too.
 		o.mu.Unlock()
 		o.misses.Add(1)
-		if done := ctx.Done(); done != nil {
-			select {
-			case <-c.done:
-			case <-done:
-				return nil, ctx.Err()
-			}
-		} else {
-			<-c.done
+		if err := f.wait(ctx); err != nil {
+			return nil, err
 		}
-		return c.res, nil
+		return f.res, nil
 	}
-	c := &oracleCall{done: make(chan struct{})}
-	o.inflight[s] = c
+	rebuild := e != nil // cached, but without the provenance paths need
+	if rebuild && o.rebuildSem != nil {
+		// Admission for on-demand rebuilds: each one is a full
+		// per-source solve that only exists because the entry holds no
+		// provenance, so a storm of them must not stack unbounded
+		// solves behind the serving tier's back. The acquire is
+		// non-blocking (never queue): over the limit the query fails
+		// fast with ErrRebuildSaturated and the caller backs off with a
+		// derived Retry-After.
+		select {
+		case o.rebuildSem <- struct{}{}:
+		default:
+			res := e.res
+			o.mu.Unlock()
+			o.rebuildRejects.Add(1)
+			return res, rebuildSaturatedError(s)
+		}
+	}
+	f := newFlight()
+	o.inflight[s] = f
 	o.mu.Unlock()
 	o.misses.Add(1)
+	if rebuild {
+		n := o.rebuildActive.Add(1)
+		for {
+			p := o.rebuildPeak.Load()
+			if n <= p || o.rebuildPeak.CompareAndSwap(p, n) {
+				break
+			}
+		}
+	}
 
 	built := o.build(int32(s), pool)
 
+	if rebuild {
+		o.rebuildActive.Add(-1)
+		if o.rebuildSem != nil {
+			<-o.rebuildSem
+		}
+	}
+
 	o.mu.Lock()
-	if e, ok := o.cache[s]; ok {
-		// A concurrent Warm landed while we were building: its entry is
-		// already linked, so serve it and drop our build — inserting a
-		// second entry for s would desynchronize the LRU list from the
-		// cache map.
-		o.touchLocked(e)
-		c.res = e.res
+	if e := o.cache[s]; e != nil && (e.res.ps != nil || built.ps == nil) {
+		// A concurrent Warm landed while we were building and its entry
+		// is at least as complete: serve it and drop our build.
+		o.touchLocked(e, paths)
+		f.res = e.res
 	} else {
-		c.res = built
-		o.insertLocked(s, built, built.ProvenanceBytes())
+		// Cache the build, replacing a lengths-only entry's Result
+		// wholesale so an entry's lengths and paths always come from one
+		// build. f.res is taken before the budget is enforced, so this
+		// flight serves its paths even if the entry is stripped at once.
+		f.res = built
+		o.putLocked(s, built, built.ProvenanceBytes())
+	}
+	if rebuild {
+		o.provenanceRebuilds++
 	}
 	delete(o.inflight, s)
 	o.mu.Unlock()
-	close(c.done)
-	return c.res, nil
-}
-
-// resultWithPaths is result for path queries: it returns a Result
-// whose provenance is present, rebuilding it when the byte budget had
-// stripped it. A cache hit whose entry still carries provenance is
-// served directly (and touched in the provenance tier — the tier's
-// recency is path-query recency). A stripped entry keeps serving
-// lengths through result(); here it triggers a tracked rebuild through
-// the same single-flight path a cold miss uses, and the rebuilt state
-// replaces the stripped entry's Result wholesale, so an entry's lengths
-// and paths always come from one build. On an untracked oracle this is
-// just result() — the ErrPathsNotTracked surface is unchanged.
-//
-// Rebuilds use the lazy single-source pipeline even when the stripped
-// entry came from a Warm; the two pipelines agree except on
-// ≤ 1/n-probability sampling misses (the documented eviction-then-
-// rebuild fine print, which budget strips share).
-func (o *Oracle) resultWithPaths(ctx context.Context, s int, pool *engine.Pool) (*Result, error) {
-	if !o.opts.TrackPaths {
-		return o.result(ctx, s, pool)
-	}
-	if !o.isSource[s] {
-		return nil, notSourceError(s)
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		o.mu.Lock()
-		if e, ok := o.cache[s]; ok && e.res.ps != nil {
-			o.touchLocked(e)
-			o.provTouchLocked(e)
-			res := e.res
-			o.mu.Unlock()
-			o.hits.Add(1)
-			return res, nil
-		}
-		_, rebuilding := o.cache[s] // present but stripped
-		if c, ok := o.inflight[s]; ok {
-			o.mu.Unlock()
-			o.misses.Add(1)
-			if done := ctx.Done(); done != nil {
-				select {
-				case <-c.done:
-				case <-done:
-					return nil, ctx.Err()
-				}
-			} else {
-				<-c.done
-			}
-			if c.res != nil && c.res.ps != nil {
-				return c.res, nil
-			}
-			// The joined flight resolved to a stripped result (a race
-			// with the budget); retry as leader.
-			continue
-		}
-		if rebuilding && o.rebuildSem != nil {
-			// Admission for on-demand rebuilds: each one is a full
-			// per-source solve that only exists because the byte budget
-			// stripped this source, so a storm of them must not stack
-			// unbounded solves behind the serving tier's back. The
-			// acquire is non-blocking (never queue): over the limit the
-			// query fails fast with ErrRebuildSaturated and the caller
-			// backs off with a derived Retry-After.
-			select {
-			case o.rebuildSem <- struct{}{}:
-			default:
-				o.mu.Unlock()
-				o.rebuildRejects.Add(1)
-				return nil, rebuildSaturatedError(s)
-			}
-		}
-		c := &oracleCall{done: make(chan struct{})}
-		o.inflight[s] = c
-		o.mu.Unlock()
-		o.misses.Add(1)
-		if rebuilding {
-			n := o.rebuildActive.Add(1)
-			for {
-				p := o.rebuildPeak.Load()
-				if n <= p || o.rebuildPeak.CompareAndSwap(p, n) {
-					break
-				}
-			}
-		}
-
-		built := o.build(int32(s), pool)
-
-		if rebuilding {
-			o.rebuildActive.Add(-1)
-			if o.rebuildSem != nil {
-				<-o.rebuildSem
-			}
-		}
-
-		o.mu.Lock()
-		if e, ok := o.cache[s]; ok {
-			if e.res.ps != nil {
-				// A concurrent Warm (or rebuild) landed with provenance;
-				// serve it and drop our build.
-				o.touchLocked(e)
-				o.provTouchLocked(e)
-				c.res = e.res
-			} else {
-				// Replace the stripped entry's Result with the rebuilt
-				// one and re-admit its bytes to the tier and the budget.
-				e.res = built
-				e.provBytes = built.ProvenanceBytes()
-				o.provBytes += e.provBytes
-				if e.provBytes > 0 {
-					o.provLinkLocked(e)
-				}
-				o.touchLocked(e)
-				o.enforceProvBudgetLocked()
-				c.res = built
-			}
-		} else {
-			c.res = built
-			o.insertLocked(s, built, built.ProvenanceBytes())
-		}
-		if rebuilding {
-			o.provenanceRebuilds++
-		}
-		delete(o.inflight, s)
-		o.mu.Unlock()
-		close(c.done)
-		return c.res, nil
-	}
+	close(f.done)
+	return f.res, nil
 }
 
 // build materializes one source against the shared preprocessing: the
@@ -957,34 +860,32 @@ func (o *Oracle) build(s int32, pool *engine.Pool) *Result {
 	return res
 }
 
-// insertLocked adds s at the LRU head and evicts beyond the bound.
-// provBytes is the provenance footprint an eviction of this entry
-// actually frees: the per-result bytes for a lazy build or a compacted
-// warm entry, 0 for a fallback warm entry (its state belongs to the
-// pinned raw plane, accounted once at warm time). Entries with a
-// nonzero footprint also join the provenance tier, and the byte budget
-// is enforced on the way out — so the gauge never exceeds
+// putLocked caches res as s's entry at the front of lru, and of prov
+// when provBytes (the provenance an eviction or strip of it frees) is
+// nonzero. s must be uncached or cached without provenance. Entries
+// beyond MaxCachedSources are evicted from the back of lru, then the
+// byte budget is enforced — so the gauge never exceeds
 // MaxProvenanceBytes, even transiently. Callers hold o.mu.
-func (o *Oracle) insertLocked(s int, res *Result, provBytes int64) {
-	e := &lruEntry{s: s, res: res, provBytes: provBytes}
-	o.provBytes += e.provBytes
-	o.cache[s] = e
-	e.next = o.lruHead
-	if o.lruHead != nil {
-		o.lruHead.prev = e
+func (o *Oracle) putLocked(s int, res *Result, provBytes int64) {
+	e := o.cache[s]
+	if e == nil {
+		e = &entry{s: s}
+		e.lru = o.lru.PushFront(e)
+		o.cache[s] = e
+	} else {
+		o.lru.MoveToFront(e.lru)
 	}
-	o.lruHead = e
-	if o.lruTail == nil {
-		o.lruTail = e
-	}
-	if e.provBytes > 0 {
-		o.provLinkLocked(e)
+	e.res, e.provBytes = res, provBytes
+	o.provBytes += provBytes
+	if provBytes > 0 {
+		e.prov = o.prov.PushFront(e)
 	}
 	if max := o.opts.MaxCachedSources; max > 0 {
-		for len(o.cache) > max {
-			victim := o.lruTail
-			o.removeLocked(victim)
-			o.provUnlinkLocked(victim)
+		for o.lru.Len() > max {
+			victim := o.lru.Remove(o.lru.Back()).(*entry)
+			if victim.prov != nil {
+				o.prov.Remove(victim.prov)
+			}
 			delete(o.cache, victim.s)
 			o.provBytes -= victim.provBytes
 			o.evictions.Add(1)
@@ -993,112 +894,33 @@ func (o *Oracle) insertLocked(s int, res *Result, provBytes int64) {
 	o.enforceProvBudgetLocked()
 }
 
-// stripLocked drops e's provenance but keeps its cached lengths: the
-// entry's Result is replaced by a ps-free copy — never mutated in
-// place, because concurrent query callers may hold the original, whose
-// path expansion must keep working — and its bytes leave the gauge.
-// Callers hold o.mu.
-func (o *Oracle) stripLocked(e *lruEntry) {
-	o.provUnlinkLocked(e)
-	stripped := *e.res
-	stripped.ps = nil
-	e.res = &stripped
-	o.provBytes -= e.provBytes
-	e.provBytes = 0
-	o.provenanceEvictions++
-}
-
 // enforceProvBudgetLocked strips least-recently-path-queried entries
-// until the gauge fits MaxProvenanceBytes (0 = unlimited). A single
+// until the gauge fits MaxProvenanceBytes (0 = unlimited). A stripped
+// entry keeps its cached lengths: its Result is replaced by a ps-free
+// copy — never mutated in place, because concurrent query callers may
+// hold the original, whose path expansion must keep working. A single
 // over-budget entry is stripped too — the budget is a hard bound, not
 // advisory; the caller that triggered the insert still holds the
-// unstripped Result and serves its paths. Only per-entry bytes are
-// strippable: on the compaction-fallback path the pinned raw plane can
-// keep the gauge above budget with nothing left to strip. Callers hold
-// o.mu.
+// unstripped Result and serves its paths. Callers hold o.mu.
 func (o *Oracle) enforceProvBudgetLocked() {
 	max := o.opts.MaxProvenanceBytes
-	if max <= 0 {
-		return
-	}
-	for o.provBytes > max && o.provTail != nil {
-		o.stripLocked(o.provTail)
-	}
-}
-
-// provLinkLocked adds e at the provenance tier's head. Callers hold
-// o.mu; e must not already be linked.
-func (o *Oracle) provLinkLocked(e *lruEntry) {
-	e.inProv = true
-	e.provPrev = nil
-	e.provNext = o.provHead
-	if o.provHead != nil {
-		o.provHead.provPrev = e
-	}
-	o.provHead = e
-	if o.provTail == nil {
-		o.provTail = e
+	for max > 0 && o.provBytes > max {
+		e := o.prov.Remove(o.prov.Back()).(*entry)
+		stripped := *e.res
+		stripped.ps = nil
+		e.res, e.prov = &stripped, nil
+		o.provBytes -= e.provBytes
+		e.provBytes = 0
+		o.provenanceEvictions++
 	}
 }
 
-// provUnlinkLocked removes e from the provenance tier (no-op when not a
-// member). Callers hold o.mu.
-func (o *Oracle) provUnlinkLocked(e *lruEntry) {
-	if !e.inProv {
-		return
+// touchLocked moves e to the front of lru and, for a path query, of
+// prov (the byte budget strips by path-query recency). Callers hold
+// o.mu.
+func (o *Oracle) touchLocked(e *entry, paths bool) {
+	o.lru.MoveToFront(e.lru)
+	if paths && e.prov != nil {
+		o.prov.MoveToFront(e.prov)
 	}
-	if e.provPrev != nil {
-		e.provPrev.provNext = e.provNext
-	} else {
-		o.provHead = e.provNext
-	}
-	if e.provNext != nil {
-		e.provNext.provPrev = e.provPrev
-	} else {
-		o.provTail = e.provPrev
-	}
-	e.provPrev, e.provNext = nil, nil
-	e.inProv = false
-}
-
-// provTouchLocked moves e to the provenance tier's head (path-query
-// recency). Callers hold o.mu.
-func (o *Oracle) provTouchLocked(e *lruEntry) {
-	if !e.inProv || o.provHead == e {
-		return
-	}
-	o.provUnlinkLocked(e)
-	o.provLinkLocked(e)
-}
-
-// touchLocked moves e to the LRU head. Callers hold o.mu.
-func (o *Oracle) touchLocked(e *lruEntry) {
-	if o.lruHead == e {
-		return
-	}
-	o.removeLocked(e)
-	e.prev = nil
-	e.next = o.lruHead
-	if o.lruHead != nil {
-		o.lruHead.prev = e
-	}
-	o.lruHead = e
-	if o.lruTail == nil {
-		o.lruTail = e
-	}
-}
-
-// removeLocked unlinks e from the LRU list. Callers hold o.mu.
-func (o *Oracle) removeLocked(e *lruEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		o.lruHead = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		o.lruTail = e.prev
-	}
-	e.prev, e.next = nil, nil
 }
