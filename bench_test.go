@@ -1,6 +1,7 @@
 package msrp
 
-// One testing.B benchmark per experiment of DESIGN.md §5 / EXPERIMENTS.md.
+// One testing.B benchmark per experiment of internal/bench's table
+// (bench.All; recorded runs in EXPERIMENTS.md).
 // These benchmark the hot solver paths at fixed, laptop-friendly sizes;
 // the full parameter sweeps with printed tables live in cmd/msrp-bench
 // (and internal/bench), which shares the same code.

@@ -1,5 +1,6 @@
-// Command msrp-bench runs the reproduction experiments (DESIGN.md §5,
-// EXPERIMENTS.md) and prints their tables.
+// Command msrp-bench runs the reproduction experiments (internal/bench's
+// table, bench.All; recorded runs in EXPERIMENTS.md) and prints their
+// tables.
 //
 // Usage:
 //

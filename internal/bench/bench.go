@@ -1,7 +1,8 @@
 // Package bench is the experiment harness that regenerates every
 // "table and figure" of the reproduction (the paper is pure theory, so
 // each experiment measures the empirical counterpart of a theorem or
-// lemma; see DESIGN.md §5 and EXPERIMENTS.md for the mapping).
+// lemma; All maps each experiment id to its claim, and EXPERIMENTS.md
+// holds recorded runs).
 //
 // Each experiment is a function that runs a workload sweep and prints
 // an aligned table plus a machine-readable CSV block. The cmd/msrp-bench
@@ -114,7 +115,7 @@ type Config struct {
 	Quick bool
 }
 
-// Experiment is a runnable experiment with an id matching DESIGN.md §5.
+// Experiment is a runnable experiment, listed with its claim by All.
 type Experiment struct {
 	ID    string
 	Name  string

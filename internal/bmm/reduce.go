@@ -46,7 +46,7 @@ import (
 //
 // with the unfailed distance standing in when e_{t−1} is not on the
 // canonical path (deleting an off-path edge cannot change the
-// distance). DESIGN.md §3 records this deviation.
+// distance). This section is the only record of the deviation.
 
 // ReductionStats reports the gadget dimensions for the E6 experiment.
 type ReductionStats struct {

@@ -18,7 +18,7 @@
 // cut by some edge (u,v) ≠ e_i, and its prefix/suffix are at least the
 // metric distances d(s,u), d(v,t).
 //
-// Soundness (the subtle half, re-derived in DESIGN.md §3): for u ∈ R_i
+// Soundness (the subtle half, argued in full here): for u ∈ R_i
 // the canonical s→u tree path avoids e_i outright; and for v ∈ D_i *no*
 // shortest v→t path can use e_i in either orientation — assuming one
 // contradicts the triangle inequality by two units — so concatenating

@@ -18,6 +18,8 @@ import (
 
 	"msrp/internal/bench"
 	"msrp/internal/graph"
+	"msrp/internal/metrics"
+	"msrp/internal/router"
 	"msrp/internal/server"
 	"msrp/internal/xrand"
 )
@@ -69,42 +71,6 @@ func (o Options) logf(format string, args ...any) {
 	}
 }
 
-// StatsDelta is the change in the server's /v1/stats counters across
-// one wave — the server's own account of what the wave did to it.
-type StatsDelta struct {
-	Batches       int64 `json:"batches"`
-	BatchQueries  int64 `json:"batchQueries"`
-	Builds        int64 `json:"builds"`
-	Rejections    int64 `json:"rejections"`
-	Cancellations int64 `json:"cancellations"`
-	Evictions     int64 `json:"evictions"`
-	// The provenance tier under a MaxProvenanceBytes budget: sources
-	// whose provenance the budget stripped, and on-demand tracked
-	// rebuilds triggered by path queries against stripped sources.
-	ProvenanceEvictions int64 `json:"provenanceEvictions,omitempty"`
-	ProvenanceRebuilds  int64 `json:"provenanceRebuilds,omitempty"`
-}
-
-// StatsGauges is the point-in-time server state recorded with a run:
-// the /v1/stats gauges the ROADMAP tracks at serving scale.
-type StatsGauges struct {
-	CachedSources   int   `json:"cachedSources"`
-	ProvenanceBytes int64 `json:"provenanceBytes"`
-	// PeakProvenanceBytes is the largest ProvenanceBytes any stats
-	// scrape of this run observed — the record that the gauge stayed
-	// under the plan's maxProvenanceBytes budget throughout.
-	PeakProvenanceBytes int64 `json:"peakProvenanceBytes,omitempty"`
-	// The most recent warm's provenance plane before and after
-	// post-solve compaction (zero on untracked or warm-less runs).
-	ProvenanceRawBytes            int64   `json:"provenanceRawBytes,omitempty"`
-	ProvenanceCompactedBytes      int64   `json:"provenanceCompactedBytes,omitempty"`
-	WarmStageBuildMillis          float64 `json:"warmStageBuildMillis"`
-	WarmStageSeedEnumerateMillis  float64 `json:"warmStageSeedEnumerateMillis"`
-	WarmStageSeedMergeMillis      float64 `json:"warmStageSeedMergeMillis"`
-	WarmStageCenterLandmarkMillis float64 `json:"warmStageCenterLandmarkMillis"`
-	WarmStageAssemblyMillis       float64 `json:"warmStageAssemblyMillis"`
-}
-
 // DrainResult records the graceful-drain observation of a drain wave.
 type DrainResult struct {
 	// TriggeredAtMillis is the drain trigger's offset into the wave.
@@ -138,34 +104,24 @@ type ChaosResult struct {
 	Error string `json:"error,omitempty"`
 }
 
-// RouterDelta is the change in the router's own /v1/stats counters
-// across one wave, plus the membership gauges at wave end — the routing
-// tier's account of the failover and membership-churn story.
-type RouterDelta struct {
-	Batches       int64 `json:"batches"`
-	Items         int64 `json:"items"`
-	SubBatches    int64 `json:"subBatches"`
-	Retries       int64 `json:"retries"`
-	Failovers     int64 `json:"failovers"`
-	FailoverWarms int64 `json:"failoverWarms"`
-	RouteErrors   int64 `json:"routeErrors"`
-	Rejections    int64 `json:"rejections"`
-	Handbacks     int64 `json:"handbacks"`
-	ReplicasUp    int   `json:"replicasUp"`
-	// Membership churn across the wave: joins/drains/removes/warm counts
-	// are deltas, Epoch is the ring epoch at wave end (monotone across
-	// waves), StaleReplicas the members whose stats scrape failed at wave
-	// end.
-	Epoch           uint64 `json:"epoch,omitempty"`
-	Joins           int64  `json:"joins,omitempty"`
-	Drains          int64  `json:"drains,omitempty"`
-	Removes         int64  `json:"removes,omitempty"`
-	MembershipWarms int64  `json:"membershipWarms,omitempty"`
-	StaleReplicas   int    `json:"staleReplicas,omitempty"`
+// RouterWave is the router section's change across one wave
+// (metrics.Delta, without the per-replica rows) plus the
+// warm-before-serve check over those rows at wave end.
+type RouterWave struct {
+	router.RouterSection
 	// WarmBeforeServeViolations counts replicas that served items without
 	// their slice ever having been warmed — the invariant the membership
 	// hand-off exists to keep; must stay zero.
 	WarmBeforeServeViolations int `json:"warmBeforeServeViolations"`
+}
+
+// ServerStats is the run's last successful /v1/stats scrape.
+type ServerStats struct {
+	server.StatsResponse
+	// PeakProvenanceBytes is the largest ProvenanceBytes any stats
+	// scrape of this run observed — the record that the gauge stayed
+	// under the plan's maxProvenanceBytes budget throughout.
+	PeakProvenanceBytes int64 `json:"peakProvenanceBytes,omitempty"`
 }
 
 // WaveResult is the recorded outcome of one wave.
@@ -233,10 +189,13 @@ type WaveResult struct {
 	PathInvalidFirst string `json:"pathInvalidFirst,omitempty"`
 	PathBudgetErrors int64  `json:"pathBudgetErrors,omitempty"`
 
-	Drain  *DrainResult `json:"drain,omitempty"`
-	Chaos  *ChaosResult `json:"chaos,omitempty"`
-	Stats  *StatsDelta  `json:"stats,omitempty"`
-	Router *RouterDelta `json:"router,omitempty"`
+	Drain *DrainResult `json:"drain,omitempty"`
+	Chaos *ChaosResult `json:"chaos,omitempty"`
+	// Stats is the server's /v1/stats change across the wave
+	// (metrics.Delta) with the wave's own rates; Router is set on router
+	// targets.
+	Stats  *server.StatsResponse `json:"stats,omitempty"`
+	Router *RouterWave           `json:"router,omitempty"`
 }
 
 // Result is a full run, the Data payload of a BENCH_*.json envelope.
@@ -246,8 +205,7 @@ type Result struct {
 	StartedAt  time.Time    `json:"startedAt"`
 	WarmMillis float64      `json:"warmMillis,omitempty"`
 	Waves      []WaveResult `json:"waves"`
-	// Server is the last successful /v1/stats gauge scrape.
-	Server *StatsGauges `json:"server,omitempty"`
+	Server     *ServerStats `json:"server,omitempty"`
 	// PeakRSSBytes is the serving process's VmHWM high-water mark (0
 	// when no pid was attached or /proc is unavailable).
 	PeakRSSBytes int64 `json:"peakRSSBytes,omitempty"`
@@ -340,59 +298,21 @@ func Run(ctx context.Context, plan *Plan, tgt *Target, opt Options) (*Result, er
 		}
 		if after, ok := r.scrapeStats(ctx); ok {
 			if beforeOK {
-				wr.Stats = &StatsDelta{
-					Batches:             after.Batches - before.Batches,
-					BatchQueries:        after.BatchQueries - before.BatchQueries,
-					Builds:              after.Builds - before.Builds,
-					Rejections:          after.Rejections - before.Rejections,
-					Cancellations:       after.Cancellations - before.Cancellations,
-					Evictions:           after.Evictions - before.Evictions,
-					ProvenanceEvictions: after.ProvenanceEvictions - before.ProvenanceEvictions,
-					ProvenanceRebuilds:  after.ProvenanceRebuilds - before.ProvenanceRebuilds,
-				}
+				st := metrics.Delta(before.StatsResponse, after.StatsResponse)
+				st.DeriveRates()
+				wr.Stats = &st
 				if after.Router != nil && before.Router != nil {
-					violations := 0
+					wr.Router = &RouterWave{RouterSection: metrics.Delta(*before.Router, *after.Router)}
+					wr.Router.Replicas = nil
 					for _, rep := range after.Router.Replicas {
 						if rep.RoutedItems > 0 && !rep.SliceWarmed {
-							violations++
+							wr.Router.WarmBeforeServeViolations++
 						}
-					}
-					wr.Router = &RouterDelta{
-						Batches:                   after.Router.Batches - before.Router.Batches,
-						Items:                     after.Router.Items - before.Router.Items,
-						SubBatches:                after.Router.SubBatches - before.Router.SubBatches,
-						Retries:                   after.Router.Retries - before.Router.Retries,
-						Failovers:                 after.Router.Failovers - before.Router.Failovers,
-						FailoverWarms:             after.Router.FailoverWarms - before.Router.FailoverWarms,
-						RouteErrors:               after.Router.RouteErrors - before.Router.RouteErrors,
-						Rejections:                after.Router.Rejections - before.Router.Rejections,
-						Handbacks:                 after.Router.Handbacks - before.Router.Handbacks,
-						ReplicasUp:                after.Router.ReplicasUp,
-						Epoch:                     after.Router.Epoch,
-						Joins:                     after.Router.Joins - before.Router.Joins,
-						Drains:                    after.Router.Drains - before.Router.Drains,
-						Removes:                   after.Router.Removes - before.Router.Removes,
-						MembershipWarms:           after.Router.MembershipWarms - before.Router.MembershipWarms,
-						StaleReplicas:             after.Router.StaleReplicas,
-						WarmBeforeServeViolations: violations,
 					}
 				}
 			}
-			if after.ProvenanceBytes > peakProv {
-				peakProv = after.ProvenanceBytes
-			}
-			res.Server = &StatsGauges{
-				CachedSources:                 after.CachedSources,
-				ProvenanceBytes:               after.ProvenanceBytes,
-				PeakProvenanceBytes:           peakProv,
-				ProvenanceRawBytes:            after.ProvenanceRawBytes,
-				ProvenanceCompactedBytes:      after.ProvenanceCompactedBytes,
-				WarmStageBuildMillis:          after.WarmStageBuildMillis,
-				WarmStageSeedEnumerateMillis:  after.WarmStageSeedEnumerateMillis,
-				WarmStageSeedMergeMillis:      after.WarmStageSeedMergeMillis,
-				WarmStageCenterLandmarkMillis: after.WarmStageCenterLandmarkMillis,
-				WarmStageAssemblyMillis:       after.WarmStageAssemblyMillis,
-			}
+			peakProv = max(peakProv, after.ProvenanceBytes)
+			res.Server = &ServerStats{StatsResponse: after.StatsResponse, PeakProvenanceBytes: peakProv}
 		}
 		res.ServerErrors += wr.ServerErrors
 		res.Waves = append(res.Waves, *wr)
@@ -470,35 +390,7 @@ func retryAfterOf(resp *http.Response, fallback time.Duration) time.Duration {
 // both).
 type scrapedStats struct {
 	server.StatsResponse
-	Router *routerScrape `json:"router,omitempty"`
-}
-
-// routerScrape mirrors internal/router's RouterSection counters (by
-// JSON field name — the load harness deliberately doesn't import the
-// router package, the wire format is the contract).
-type routerScrape struct {
-	Batches         int64  `json:"batches"`
-	Items           int64  `json:"items"`
-	SubBatches      int64  `json:"subBatches"`
-	Retries         int64  `json:"retries"`
-	Failovers       int64  `json:"failovers"`
-	FailoverWarms   int64  `json:"failoverWarms"`
-	RouteErrors     int64  `json:"routeErrors"`
-	Rejections      int64  `json:"rejections"`
-	Handbacks       int64  `json:"handbacks"`
-	ReplicasUp      int    `json:"replicasUp"`
-	Epoch           uint64 `json:"epoch"`
-	Joins           int64  `json:"joins"`
-	Drains          int64  `json:"drains"`
-	Removes         int64  `json:"removes"`
-	MembershipWarms int64  `json:"membershipWarms"`
-	StaleReplicas   int    `json:"staleReplicas"`
-	Replicas        []struct {
-		State       string `json:"state"`
-		Member      bool   `json:"member"`
-		SliceWarmed bool   `json:"sliceWarmed"`
-		RoutedItems int64  `json:"routedItems"`
-	} `json:"replicas"`
+	Router *router.RouterSection `json:"router"`
 }
 
 func (r *runner) scrapeStats(ctx context.Context) (*scrapedStats, bool) {

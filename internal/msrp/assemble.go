@@ -22,12 +22,12 @@ import (
 // `avoid` term replaces the paper's bottleneck-edge machinery with a
 // candidate that is *unconditionally* sound: a path avoiding the whole
 // interval avoids every edge in it, so one value serves the interval.
-// (DESIGN.md §3 records why the literal bottleneck construction has an
-// unsound corner on terminal intervals.) Completeness gaps left by the
-// one-hop restriction are closed by the fixpoint sweeps in
-// sweepLandmarks, which re-run the far/near candidate machinery over
-// landmark targets until the mutual recursion between landmark values
-// stabilizes.
+// (bottleneck.go's header records why the literal bottleneck
+// construction has an unsound corner on terminal intervals.)
+// Completeness gaps left by the one-hop restriction are closed by the
+// fixpoint sweeps in sweepLandmarks, which re-run the far/near
+// candidate machinery over landmark targets until the mutual recursion
+// between landmark values stabilizes.
 func assembleLenSR(ps *ssrp.PerSource, ctr *Centers, sc *sourceCenter, cl *centerLandmark, scr *engine.Scratch) map[int32][]int32 {
 	sh := ps.Sh
 	ts := ps.Ts

@@ -23,10 +23,11 @@ import (
 // [s], [r'], [s,r,i] — the mutual recursion between landmark values
 // rides on the chain arcs [s,r',j] → [s,r,i].
 //
-// Known caveat (DESIGN.md §3): on *terminal* intervals (the paper's
-// construction has no right-boundary center there) the argmax-by-MTC
-// edge need not maximize the true sr⋄·, and applying its value to the
-// other interval edges can in principle undershoot. The default mode
+// Known caveat (pinned by TestPaperBottleneckCornerIsReal): on
+// *terminal* intervals (the paper's construction has no right-boundary
+// center there) the argmax-by-MTC edge need not maximize the true
+// sr⋄·, and applying its value to the other interval edges can in
+// principle undershoot. The default mode
 // avoids the corner; this mode reproduces the paper, and E10 measures
 // whether the corner bites in practice.
 

@@ -66,7 +66,7 @@ func TestBottleneckSoundnessAtPaperConstants(t *testing.T) {
 	// paper's construction including its caveat. Zero is the expected
 	// outcome on random graphs; a nonzero count is worth knowing about.
 	if undershoots > 0 {
-		t.Logf("paper-bottleneck mode undershot %d entries (the DESIGN.md §3 corner)", undershoots)
+		t.Logf("paper-bottleneck mode undershot %d entries (the terminal-interval corner in bottleneck.go's header)", undershoots)
 	}
 }
 
@@ -104,7 +104,7 @@ func TestModesAgreeWhenBothExact(t *testing.T) {
 }
 
 func TestPaperBottleneckCornerIsReal(t *testing.T) {
-	// Empirical confirmation of the DESIGN.md §3 analysis: on this
+	// Empirical confirmation of bottleneck.go's caveat: on this
 	// fixed instance the paper's literal §8.3 assembly *undershoots*
 	// (reports replacement lengths below the truth) while the default
 	// assembly stays exact. Root cause: the bottleneck edge is chosen
@@ -113,8 +113,9 @@ func TestPaperBottleneckCornerIsReal(t *testing.T) {
 	// bottleneck value applied to sibling edges is not an upper bound.
 	//
 	// If this test ever fails because undershoots == 0, a change has
-	// (perhaps accidentally) fixed the corner — update DESIGN.md §3
-	// and EXPERIMENTS.md E10 accordingly.
+	// (perhaps accidentally) fixed the corner — update the caveat in
+	// bottleneck.go's header and experiment E10 in internal/bench
+	// accordingly.
 	rng := xrand.New(77)
 	_ = graph.RandomConnected(rng, 240, 4*240) // keep rng stream aligned with E10
 	g := graph.CycleWithChords(rng, 240, 240/25)
@@ -144,7 +145,7 @@ func TestPaperBottleneckCornerIsReal(t *testing.T) {
 	}
 	if under == 0 {
 		t.Fatal("expected the documented §8.3 undershoot on this instance; " +
-			"if intentional, update DESIGN.md §3 / EXPERIMENTS.md E10")
+			"if intentional, update the bottleneck.go caveat / internal/bench E10")
 	}
 	t.Logf("paper §8.3 mode: %d undershoots, %d overshoots (documented corner)", under, over)
 

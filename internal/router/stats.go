@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"sync"
 
+	"msrp/internal/metrics"
 	"msrp/internal/server"
 )
 
@@ -24,26 +25,28 @@ type ReplicaStats struct {
 // RouterSection is the router's own counters, nested under "router" in
 // the stats response so a scraper built for a single replica's
 // StatsResponse keeps working (it ignores the extra key) while a
-// router-aware one sees the fleet.
+// router-aware one sees the fleet. Its stat tags declare each metric
+// the way msrp.OracleStats does; a load wave records the section's
+// metrics.Delta.
 type RouterSection struct {
-	Batches         int64          `json:"batches"`
-	Items           int64          `json:"items"`
-	SubBatches      int64          `json:"subBatches"`
-	Retries         int64          `json:"retries"`
-	Failovers       int64          `json:"failovers"`
-	FailoverWarms   int64          `json:"failoverWarms"`
-	RouteErrors     int64          `json:"routeErrors"`
-	Rejections      int64          `json:"rejections"`
-	Handbacks       int64          `json:"handbacks"`
-	Epoch           uint64         `json:"epoch"`
-	Joins           int64          `json:"joins"`
-	Drains          int64          `json:"drains"`
-	Removes         int64          `json:"removes"`
-	MembershipWarms int64          `json:"membershipWarms"`
-	StaleReplicas   int            `json:"staleReplicas"`
+	Batches         int64          `json:"batches" stat:"counter"`
+	Items           int64          `json:"items" stat:"counter"`
+	SubBatches      int64          `json:"subBatches" stat:"counter"`
+	Retries         int64          `json:"retries" stat:"counter"`
+	Failovers       int64          `json:"failovers" stat:"counter"`
+	FailoverWarms   int64          `json:"failoverWarms" stat:"counter"`
+	RouteErrors     int64          `json:"routeErrors" stat:"counter"`
+	Rejections      int64          `json:"rejections" stat:"counter"`
+	Handbacks       int64          `json:"handbacks" stat:"counter"`
+	Epoch           uint64         `json:"epoch" stat:"peak"`
+	Joins           int64          `json:"joins" stat:"counter"`
+	Drains          int64          `json:"drains" stat:"counter"`
+	Removes         int64          `json:"removes" stat:"counter"`
+	MembershipWarms int64          `json:"membershipWarms" stat:"counter"`
+	StaleReplicas   int            `json:"staleReplicas" stat:"gauge"`
 	Members         []int          `json:"members"`
-	ReplicasUp      int            `json:"replicasUp"`
-	Replicas        []ReplicaStats `json:"replicas"`
+	ReplicasUp      int            `json:"replicasUp" stat:"gauge"`
+	Replicas        []ReplicaStats `json:"replicas,omitempty"`
 }
 
 // StatsResponse is the router's /v1/stats body: a fleet-aggregated
@@ -53,70 +56,19 @@ type StatsResponse struct {
 	Router RouterSection `json:"router"`
 }
 
-// aggregate folds per-replica stats into one fleet view. Counters sum;
-// capacity facts (sources, maxCachedSources) and high-water marks (the
-// warm-stage latencies, peak bytes) take the max — summing a latency
+// aggregate folds the scraped replicas' stats into one fleet view by
+// their stat tags (internal/metrics) and derives the fleet's rates.
+// Capacity facts and last-warm latencies are peaks: summing a latency
 // across replicas that warmed in parallel would report a wall time
-// nobody experienced; rates are recomputed from the summed counters.
+// nobody experienced.
 func aggregate(parts []*server.StatsResponse) server.StatsResponse {
 	var agg server.StatsResponse
 	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		agg.Hits += p.Hits
-		agg.Misses += p.Misses
-		agg.Builds += p.Builds
-		agg.BuildTimeMillis += p.BuildTimeMillis
-		agg.Evictions += p.Evictions
-		agg.Batches += p.Batches
-		agg.BatchQueries += p.BatchQueries
-		agg.Warms += p.Warms
-		agg.Rejections += p.Rejections
-		agg.Cancellations += p.Cancellations
-		agg.CachedSources += p.CachedSources
-		agg.ProvenanceBytes += p.ProvenanceBytes
-		agg.ProvenanceEvictions += p.ProvenanceEvictions
-		agg.ProvenanceRebuilds += p.ProvenanceRebuilds
-		agg.ProvenanceRebuildRejects += p.ProvenanceRebuildRejects
-		// The raw/compacted pair sums too: each replica warms its own
-		// slice, so the fleet's plane is the sum of the slices' planes.
-		agg.ProvenanceRawBytes += p.ProvenanceRawBytes
-		agg.ProvenanceCompactedBytes += p.ProvenanceCompactedBytes
-		if p.Sources > agg.Sources {
-			agg.Sources = p.Sources
-		}
-		if p.MaxCachedSources > agg.MaxCachedSources {
-			agg.MaxCachedSources = p.MaxCachedSources
-		}
-		if p.WarmStageBuildMillis > agg.WarmStageBuildMillis {
-			agg.WarmStageBuildMillis = p.WarmStageBuildMillis
-		}
-		if p.WarmStageSeedEnumerateMillis > agg.WarmStageSeedEnumerateMillis {
-			agg.WarmStageSeedEnumerateMillis = p.WarmStageSeedEnumerateMillis
-		}
-		if p.WarmStageSeedMergeMillis > agg.WarmStageSeedMergeMillis {
-			agg.WarmStageSeedMergeMillis = p.WarmStageSeedMergeMillis
-		}
-		if p.WarmStageCenterLandmarkMillis > agg.WarmStageCenterLandmarkMillis {
-			agg.WarmStageCenterLandmarkMillis = p.WarmStageCenterLandmarkMillis
-		}
-		if p.WarmStageAssemblyMillis > agg.WarmStageAssemblyMillis {
-			agg.WarmStageAssemblyMillis = p.WarmStageAssemblyMillis
-		}
-		if p.WarmPeakSeedPathBytes > agg.WarmPeakSeedPathBytes {
-			agg.WarmPeakSeedPathBytes = p.WarmPeakSeedPathBytes
+		if p != nil {
+			metrics.Fold(&agg, *p)
 		}
 	}
-	if lookups := agg.Hits + agg.Misses; lookups > 0 {
-		agg.HitRate = float64(agg.Hits) / float64(lookups)
-	}
-	if agg.Builds > 0 {
-		agg.AvgBuildMillis = float64(agg.BuildTimeMillis) / float64(agg.Builds)
-	}
-	if agg.Batches > 0 {
-		agg.AvgBatchSize = float64(agg.BatchQueries) / float64(agg.Batches)
-	}
+	agg.DeriveRates()
 	return agg
 }
 

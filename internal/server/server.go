@@ -527,88 +527,40 @@ func (s *Server) handleSources(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// StatsResponse is the /v1/stats response body: the Oracle's counters
-// plus the derived rates, shaped for a metrics scraper.
+// StatsResponse is the /v1/stats response body: every OracleStats wire
+// field, the cache's size and capacity, and the rates derived from the
+// counters. The stat tags (see msrp.OracleStats) say how each field
+// folds across a fleet and across a load wave.
 type StatsResponse struct {
-	Hits             int64   `json:"hits"`
-	Misses           int64   `json:"misses"`
-	HitRate          float64 `json:"hitRate"`
-	Builds           int64   `json:"builds"`
-	BuildTimeMillis  int64   `json:"buildTimeMillis"`
-	AvgBuildMillis   float64 `json:"avgBuildMillis"`
-	Evictions        int64   `json:"evictions"`
-	Batches          int64   `json:"batches"`
-	BatchQueries     int64   `json:"batchQueries"`
-	AvgBatchSize     float64 `json:"avgBatchSize"`
-	Warms            int64   `json:"warms"`
-	Rejections       int64   `json:"rejections"`
-	Cancellations    int64   `json:"cancellations"`
-	CachedSources    int     `json:"cachedSources"`
-	Sources          int     `json:"sources"`
-	MaxCachedSources int     `json:"maxCachedSources"`
-	ProvenanceBytes  int64   `json:"provenanceBytes"`
-
-	// The provenance tier (Options.MaxProvenanceBytes): budget strips,
-	// on-demand tracked rebuilds, and the most recent warm's plane size
-	// before/after post-solve compaction.
-	ProvenanceEvictions      int64 `json:"provenanceEvictions"`
-	ProvenanceRebuilds       int64 `json:"provenanceRebuilds"`
-	ProvenanceRebuildRejects int64 `json:"provenanceRebuildRejects"`
-	ProvenanceRawBytes       int64 `json:"provenanceRawBytes"`
-	ProvenanceCompactedBytes int64 `json:"provenanceCompactedBytes"`
-
-	// Stage-latency breakdown of the most recent completed warm (zero
-	// before any) and its peak live §7.1 path-expansion state — the
-	// measured-latency inputs for load shedding. Every stage but the
-	// single merge fold is wall time summed over its items (sources,
-	// centers), so the numbers stay comparable at any parallelism.
-	WarmStageBuildMillis          float64 `json:"warmStageBuildMillis"`
-	WarmStageSeedEnumerateMillis  float64 `json:"warmStageSeedEnumerateMillis"`
-	WarmStageSeedMergeMillis      float64 `json:"warmStageSeedMergeMillis"`
-	WarmStageCenterLandmarkMillis float64 `json:"warmStageCenterLandmarkMillis"`
-	WarmStageAssemblyMillis       float64 `json:"warmStageAssemblyMillis"`
-	WarmPeakSeedPathBytes         int64   `json:"warmPeakSeedPathBytes"`
+	msrp.OracleStats
+	CachedSources    int     `json:"cachedSources" stat:"gauge"`
+	Sources          int     `json:"sources" stat:"peak"`
+	MaxCachedSources int     `json:"maxCachedSources" stat:"peak"`
+	HitRate          float64 `json:"hitRate" stat:"rate"`
+	AvgBuildMillis   float64 `json:"avgBuildMillis" stat:"rate"`
+	AvgBatchSize     float64 `json:"avgBatchSize" stat:"rate"`
 }
 
-// millis converts a duration to fractional milliseconds for the wire.
-func millis(d time.Duration) float64 {
-	return float64(d.Nanoseconds()) / 1e6
+// DeriveRates sets the rate fields from the counters they divide. Call
+// it on every StatsResponse built, folded or differenced.
+func (st *StatsResponse) DeriveRates() {
+	st.HitRate = st.OracleStats.HitRate()
+	st.AvgBatchSize = st.OracleStats.AvgBatchSize()
+	st.AvgBuildMillis = 0
+	if st.Builds > 0 {
+		st.AvgBuildMillis = st.BuildTimeMillis / float64(st.Builds)
+	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.oracle.Stats()
-	writeJSON(w, http.StatusOK, StatsResponse{
-		Hits:             st.Hits,
-		Misses:           st.Misses,
-		HitRate:          st.HitRate(),
-		Builds:           st.Builds,
-		BuildTimeMillis:  st.BuildTime.Milliseconds(),
-		AvgBuildMillis:   float64(st.AvgBuildLatency().Microseconds()) / 1000,
-		Evictions:        st.Evictions,
-		Batches:          st.Batches,
-		BatchQueries:     st.BatchQueries,
-		AvgBatchSize:     st.AvgBatchSize(),
-		Warms:            st.Warms,
-		Rejections:       st.Rejections,
-		Cancellations:    st.Cancellations,
+	st := StatsResponse{
+		OracleStats:      s.oracle.Stats(),
 		CachedSources:    s.oracle.CachedSources(),
 		Sources:          s.numSources,
 		MaxCachedSources: s.oracle.Options().MaxCachedSources,
-		ProvenanceBytes:  st.ProvenanceBytes,
-
-		ProvenanceEvictions:      st.ProvenanceEvictions,
-		ProvenanceRebuilds:       st.ProvenanceRebuilds,
-		ProvenanceRebuildRejects: st.ProvenanceRebuildRejects,
-		ProvenanceRawBytes:       st.ProvenanceRawBytes,
-		ProvenanceCompactedBytes: st.ProvenanceCompactedBytes,
-
-		WarmStageBuildMillis:          millis(st.WarmStages.PerSourceBuild),
-		WarmStageSeedEnumerateMillis:  millis(st.WarmStages.SeedEnumerate),
-		WarmStageSeedMergeMillis:      millis(st.WarmStages.SeedMerge),
-		WarmStageCenterLandmarkMillis: millis(st.WarmStages.CenterLandmark),
-		WarmStageAssemblyMillis:       millis(st.WarmStages.Assembly),
-		WarmPeakSeedPathBytes:         st.WarmPeakSeedPathBytes,
-	})
+	}
+	st.DeriveRates()
+	writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

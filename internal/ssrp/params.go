@@ -62,7 +62,8 @@ type Params struct {
 	// multi-source solver (bottleneck edges + the §8.3.2 auxiliary
 	// graph, no fixpoint sweeps) instead of the default sound
 	// interval-avoidance assembly. Compared by experiment E10; see
-	// DESIGN.md §3 for the terminal-interval caveat.
+	// the internal/msrp bottleneck.go header for the terminal-interval
+	// caveat.
 	PaperBottleneck bool
 }
 

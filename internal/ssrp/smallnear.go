@@ -42,8 +42,8 @@ func AttachedBuilder(sc *engine.Scratch, n, arcHint int) *dijkstra.Builder {
 //	[v,e] → [t,e] weight 1      — if (v,t) ∈ E, (v,t) ≠ e, and e is a
 //	                              near edge on the s→v path.
 //
-// The (v,t) ≠ e exclusions are our fix to the paper's literal text
-// (DESIGN.md §3 item 3): when e is the last edge of the st path, v's
+// The (v,t) ≠ e exclusions are our fix to the paper's literal text,
+// recorded only here: when e is the last edge of the st path, v's
 // edge to t may be e itself.
 //
 // A key index identity keeps the bookkeeping flat: if a tree edge e of

@@ -196,32 +196,48 @@ type StageTimes struct {
 }
 
 // OracleStats is a point-in-time snapshot of an Oracle's serving
-// counters. Snapshots are monotone: every field only grows over the
-// oracle's lifetime.
+// counters, and the one declaration of the oracle's /v1/stats metrics:
+// each wire field carries its JSON name and a stat tag, and
+// internal/metrics applies the tags across a fleet and across a load
+// wave. The kinds:
+//
+//   - counter: only grows; sums across replicas, subtracts across a wave.
+//   - gauge: a current reading that can fall (ProvenanceBytes, and the
+//     last warm's plane sizes, which each replica takes over its own
+//     slice); sums across replicas, read at wave end.
+//   - peak: a high-water mark or a last-warm latency; the max across
+//     replicas, read at wave end.
+//   - rate: derived from counters (server.StatsResponse).
+//
+// The time.Duration fields stay off the wire; their *Millis twins carry
+// them in fractional milliseconds.
 type OracleStats struct {
 	// Hits and Misses count per-source cache lookups on the query path.
 	// A miss either triggers a build or joins one already in flight.
-	Hits, Misses int64
+	Hits   int64 `json:"hits" stat:"counter"`
+	Misses int64 `json:"misses" stat:"counter"`
 	// Builds counts lazy per-source materializations; BuildTime is
 	// their summed wall clock (divide for the mean per-source build
 	// latency).
-	Builds    int64
-	BuildTime time.Duration
+	Builds          int64         `json:"builds" stat:"counter"`
+	BuildTime       time.Duration `json:"-"`
+	BuildTimeMillis float64       `json:"buildTimeMillis" stat:"counter"`
 	// Evictions counts sources dropped by the MaxCachedSources LRU.
-	Evictions int64
+	Evictions int64 `json:"evictions" stat:"counter"`
 	// Batches and BatchQueries describe QueryBatch traffic (divide for
 	// the mean batch size).
-	Batches, BatchQueries int64
+	Batches      int64 `json:"batches" stat:"counter"`
+	BatchQueries int64 `json:"batchQueries" stat:"counter"`
 	// Warms counts Warm calls that ran the batch §8 pipeline to
 	// successful completion (joiners of an in-flight warm and warms that
 	// errored or were cancelled do not count).
-	Warms int64
+	Warms int64 `json:"warms" stat:"counter"`
 	// Rejections counts requests turned away by admission control (a
 	// serving front-end reporting 429 via RecordRejection).
-	Rejections int64
+	Rejections int64 `json:"rejections" stat:"counter"`
 	// Cancellations counts QueryBatchContext/WarmContext calls that
 	// returned early because their context was cancelled.
-	Cancellations int64
+	Cancellations int64 `json:"cancellations" stat:"counter"`
 	// ProvenanceBytes is the retained footprint of the path-provenance
 	// plane under Options.TrackPaths — what tracking keeps alive that a
 	// length-only oracle would have dropped. Lazy builds contribute per
@@ -231,35 +247,39 @@ type OracleStats struct {
 	// per entry too. Either way an entry's provenance is freed by LRU
 	// eviction or by a MaxProvenanceBytes budget strip, so the gauge
 	// tracks memory that can actually be reclaimed and never exceeds the
-	// budget. 0 on untracked oracles. Unlike the other counters it is a
-	// gauge, not a monotone counter.
-	ProvenanceBytes int64
+	// budget. 0 on untracked oracles.
+	ProvenanceBytes int64 `json:"provenanceBytes" stat:"gauge"`
 	// ProvenanceEvictions counts sources whose provenance was dropped by
 	// the MaxProvenanceBytes budget. The source's lengths stay cached
 	// and keep serving; only path expansion requires a rebuild.
-	ProvenanceEvictions int64
+	ProvenanceEvictions int64 `json:"provenanceEvictions" stat:"counter"`
 	// ProvenanceRebuilds counts on-demand tracked rebuilds triggered by
 	// a path query against a source whose provenance had been evicted.
-	ProvenanceRebuilds int64
+	ProvenanceRebuilds int64 `json:"provenanceRebuilds" stat:"counter"`
 	// ProvenanceRebuildRejects counts rebuild attempts turned away by
 	// Options.MaxProvenanceRebuilds admission (ErrRebuildSaturated) —
 	// the thundering herd the bound absorbed.
-	ProvenanceRebuildRejects int64
+	ProvenanceRebuildRejects int64 `json:"provenanceRebuildRejects" stat:"counter"`
 	// ProvenanceRawBytes and ProvenanceCompactedBytes record the most
 	// recent completed Warm's provenance plane before and after
 	// post-solve compaction (zero before any tracked warm; compacted
 	// stays zero if compaction failed and the warm's entries were
 	// installed lengths-only).
-	ProvenanceRawBytes       int64
-	ProvenanceCompactedBytes int64
+	ProvenanceRawBytes       int64 `json:"provenanceRawBytes" stat:"gauge"`
+	ProvenanceCompactedBytes int64 `json:"provenanceCompactedBytes" stat:"gauge"`
 	// WarmStages is the stage-latency breakdown of the most recent
 	// completed Warm pipeline (zero before any warm completes).
-	WarmStages StageTimes
+	WarmStages                    StageTimes `json:"-"`
+	WarmStageBuildMillis          float64    `json:"warmStageBuildMillis" stat:"peak"`
+	WarmStageSeedEnumerateMillis  float64    `json:"warmStageSeedEnumerateMillis" stat:"peak"`
+	WarmStageSeedMergeMillis      float64    `json:"warmStageSeedMergeMillis" stat:"peak"`
+	WarmStageCenterLandmarkMillis float64    `json:"warmStageCenterLandmarkMillis" stat:"peak"`
+	WarmStageAssemblyMillis       float64    `json:"warmStageAssemblyMillis" stat:"peak"`
 	// WarmPeakSeedPathBytes is that pipeline's high-water mark of live
 	// §7.1 path-expansion state — Θ(Parallelism·aux), because each
 	// source's state is released as soon as its seed shard is
 	// enumerated.
-	WarmPeakSeedPathBytes int64
+	WarmPeakSeedPathBytes int64 `json:"warmPeakSeedPathBytes" stat:"peak"`
 }
 
 // HitRate returns the fraction of cache lookups served without
@@ -297,34 +317,40 @@ func (s OracleStats) AvgBatchSize() float64 {
 // Warm).
 func (o *Oracle) Stats() OracleStats {
 	o.mu.Lock()
-	warmStages := o.warmStages
-	warmPeak := o.warmPeakSeedBytes
-	provBytes := o.provBytes
-	provEvictions := o.provenanceEvictions
-	provRebuilds := o.provenanceRebuilds
-	provRaw := o.provRawBytes
-	provCompacted := o.provCompactedBytes
-	o.mu.Unlock()
-	return OracleStats{
-		ProvenanceBytes:          provBytes,
-		ProvenanceEvictions:      provEvictions,
-		ProvenanceRebuilds:       provRebuilds,
-		ProvenanceRebuildRejects: o.rebuildRejects.Load(),
-		ProvenanceRawBytes:       provRaw,
-		ProvenanceCompactedBytes: provCompacted,
-		Hits:                     o.hits.Load(),
-		Misses:                   o.misses.Load(),
-		Builds:                   o.builds.Load(),
-		BuildTime:                time.Duration(o.buildNanos.Load()),
-		Evictions:                o.evictions.Load(),
-		Batches:                  o.batches.Load(),
-		BatchQueries:             o.batchQueries.Load(),
-		Warms:                    o.warms.Load(),
-		Rejections:               o.rejections.Load(),
-		Cancellations:            o.cancellations.Load(),
-		WarmStages:               warmStages,
-		WarmPeakSeedPathBytes:    warmPeak,
+	w := o.warmStages
+	st := OracleStats{
+		ProvenanceBytes:               o.provBytes,
+		ProvenanceEvictions:           o.provenanceEvictions,
+		ProvenanceRebuilds:            o.provenanceRebuilds,
+		ProvenanceRawBytes:            o.provRawBytes,
+		ProvenanceCompactedBytes:      o.provCompactedBytes,
+		WarmStages:                    w,
+		WarmStageBuildMillis:          millis(w.PerSourceBuild),
+		WarmStageSeedEnumerateMillis:  millis(w.SeedEnumerate),
+		WarmStageSeedMergeMillis:      millis(w.SeedMerge),
+		WarmStageCenterLandmarkMillis: millis(w.CenterLandmark),
+		WarmStageAssemblyMillis:       millis(w.Assembly),
+		WarmPeakSeedPathBytes:         o.warmPeakSeedBytes,
 	}
+	o.mu.Unlock()
+	st.ProvenanceRebuildRejects = o.rebuildRejects.Load()
+	st.Hits = o.hits.Load()
+	st.Misses = o.misses.Load()
+	st.Builds = o.builds.Load()
+	st.BuildTime = time.Duration(o.buildNanos.Load())
+	st.BuildTimeMillis = millis(st.BuildTime)
+	st.Evictions = o.evictions.Load()
+	st.Batches = o.batches.Load()
+	st.BatchQueries = o.batchQueries.Load()
+	st.Warms = o.warms.Load()
+	st.Rejections = o.rejections.Load()
+	st.Cancellations = o.cancellations.Load()
+	return st
+}
+
+// millis converts a duration to fractional milliseconds for the wire.
+func millis(d time.Duration) float64 {
+	return float64(d.Nanoseconds()) / 1e6
 }
 
 // RecordRejection counts one admission-control rejection. The Oracle
