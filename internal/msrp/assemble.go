@@ -28,7 +28,7 @@ import (
 // fixpoint sweeps in sweepLandmarks, which re-run the far/near
 // candidate machinery over landmark targets until the mutual recursion
 // between landmark values stabilizes.
-func assembleLenSR(ps *ssrp.PerSource, ctr *Centers, sc *sourceCenter, cl *centerLandmark, scr *engine.Scratch) map[int32][]int32 {
+func assembleLenSR(ps *ssrp.PerSource, ctr *Centers, sc *hubGraph, cl *centerLandmark, scr *engine.Scratch) map[int32][]int32 {
 	sh := ps.Sh
 	ts := ps.Ts
 	lenSR := make(map[int32][]int32, len(sh.List))

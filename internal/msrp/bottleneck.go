@@ -49,11 +49,11 @@ type bottleneckState struct {
 }
 
 // computeMTCRow fills MTC(s,r,·) for every edge of the sr path using
-// the §8.1 (dSC) and §8.2 (dCR) answers, given the interval boundary
-// decomposition. Shared by both assembly modes.
-func computeMTCRow(ps *ssrp.PerSource, ctr *Centers, sc *sourceCenter, cl *centerLandmark,
+// the hub-graph lookups of §8.1 (G_s: d(s,c2,e)) and §8.2.2 (G_c:
+// d(c1,r,e)), given the interval boundary decomposition. Shared by both
+// assembly modes.
+func computeMTCRow(ps *ssrp.PerSource, ctr *Centers, sc *hubGraph, cl *centerLandmark,
 	r int32, path []int32, edges []int32, boundaries []int32) []int32 {
-	sh := ps.Sh
 	ts := ps.Ts
 	l := len(edges)
 	row := make([]int32, l)
@@ -64,17 +64,18 @@ func computeMTCRow(ps *ssrp.PerSource, ctr *Centers, sc *sourceCenter, cl *cente
 		lo, hi := boundaries[q], boundaries[q+1]
 		c1 := path[lo]
 		c2 := path[hi]
+		gc1 := cl.at(c1)
 		lastInterval := int(hi) == l
 		for i := lo; i < hi; i++ {
 			e := edges[i]
 			best := rp.Inf
-			if d1 := cl.dCR(sh, c1, r, e); d1 < rp.Inf {
+			if d1 := gc1.dist(r, e); d1 < rp.Inf {
 				if cand := ts.Dist[c1] + d1; cand < best {
 					best = cand
 				}
 			}
 			if !lastInterval {
-				if d2 := sc.dSC(c2, int(i), e); d2 < rp.Inf {
+				if d2 := sc.dist(c2, e); d2 < rp.Inf {
 					if dcr := ctr.Tree[c2].Dist[r]; dcr >= 0 {
 						if cand := d2 + dcr; cand < best {
 							best = cand
@@ -90,7 +91,7 @@ func computeMTCRow(ps *ssrp.PerSource, ctr *Centers, sc *sourceCenter, cl *cente
 
 // buildBottleneck runs §8.3 for one source: picks bottleneck edges per
 // interval (§8.3.1) and solves the §8.3.2 auxiliary graph.
-func buildBottleneck(ps *ssrp.PerSource, ctr *Centers, sc *sourceCenter, cl *centerLandmark, scr *engine.Scratch) *bottleneckState {
+func buildBottleneck(ps *ssrp.PerSource, ctr *Centers, sc *hubGraph, cl *centerLandmark, scr *engine.Scratch) *bottleneckState {
 	sh := ps.Sh
 	ts := ps.Ts
 	g := sh.G
@@ -243,7 +244,7 @@ func buildBottleneck(ps *ssrp.PerSource, ctr *Centers, sc *sourceCenter, cl *cen
 
 // assembleLenSRBottleneck is the paper-faithful §8.3 assembly:
 // d(s,r,e) = min(MTC(s,r,e), sr⋄B[interval], §7.1 small value).
-func assembleLenSRBottleneck(ps *ssrp.PerSource, ctr *Centers, sc *sourceCenter, cl *centerLandmark, scr *engine.Scratch) (map[int32][]int32, *bottleneckState) {
+func assembleLenSRBottleneck(ps *ssrp.PerSource, ctr *Centers, sc *hubGraph, cl *centerLandmark, scr *engine.Scratch) (map[int32][]int32, *bottleneckState) {
 	bs := buildBottleneck(ps, ctr, sc, cl, scr)
 	sh := ps.Sh
 	ts := ps.Ts

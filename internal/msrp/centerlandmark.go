@@ -166,31 +166,23 @@ func estimateSeedEntries(ps *ssrp.PerSource, ctr *Centers) int {
 	return int(est)
 }
 
-// centerLandmark holds the §8.2.2 output: d(c, r, e) for every center
-// c, landmark r, and edge e among the first Budget(priority(c)) edges
-// of the canonical (T_c) c→r path.
+// centerLandmark holds the §8.2.2 output: one solved G_c per center c,
+// giving d(c, r, e) for every landmark r and every edge e among the
+// first Budget(priority(c)) edges of the canonical (T_c) c→r path.
 //
-// Storage is dense: rows are indexed by center position (Centers.Index)
-// and landmark position (lmIdx) instead of the map-of-maps the first
-// implementation used — dCR sits on the assembly's innermost candidate
-// loop, where two map lookups per call were measurable overhead, and
-// dense per-center slots let the fan-out's workers write their centers'
-// output race-free.
+// Storage is dense: graphs are indexed by center position
+// (Centers.Index) and each graph's rows by landmark position (lmIdx),
+// so the lookup on the assembly's innermost candidate loop pays no map
+// lookups, and the fan-out's workers write their centers' slots
+// race-free.
 type centerLandmark struct {
 	ctr *Centers
 
 	// lmIdx[v] is v's position in sh.List, -1 for non-landmarks.
 	lmIdx []int32
 
-	// rows[ci][li][j] = d(c, r, e_j) for c = ctr.List[ci], r =
-	// sh.List[li], and e_j the j-th edge of the T_c path from c toward
-	// r, j < min(budget, |cr|). nil rows mean r == c or unreachable.
-	rows [][][]int32
-
-	// prov[ci] retains G_c's parent chains and node decode tables under
-	// Params.TrackPaths (the provenance plane's §8.2.2 layer); nil
-	// otherwise.
-	prov []*auxProv
+	// graphs[ci] is G_c for c = ctr.List[ci].
+	graphs []*hubGraph
 
 	// Aggregate aux-graph size counters (all G_c combined, E9) and the
 	// per-item wall time sum — atomics because the fan-out's workers
@@ -212,30 +204,23 @@ func (cl *centerLandmark) BuildTime() time.Duration {
 	return time.Duration(cl.buildNanos.Load())
 }
 
-// buildCenterLandmark constructs and solves every per-center auxiliary
-// graph G_c (§8.2.2) once the seed table is merged. Centers are
-// independent, so the stage fans out across Params.Parallelism
-// workers, each center's output landing in its own dense slot; ctx is
-// observed between centers, so a cancelled solve stops after the items
-// already in flight instead of running all |C| Dijkstras to
-// completion.
-//
-// Node space of G_c: [c] (node 0), [r] per landmark, [r,e] per covered
-// (landmark, prefix-edge) pair. Arcs (Lemma 21/22 case analysis):
-//
-//	[c]  → [r]      weight |cr|
-//	[c]  → [r,e]    weight seed(c,r,e)   (§8.2.1 small path through c)
-//	[r'] → [r,e]    weight |r'r|         if e ∉ cr' and e ∉ r'r
-//	[r',e] → [r,e]  weight |r'r|         if [r',e] exists and e ∉ r'r
-//
-// All positions are measured in T_c, where the shared-prefix identity
-// again makes an edge's index the same on every path through it.
+// at returns center c's solved G_c.
+func (cl *centerLandmark) at(c int32) *hubGraph { return cl.graphs[cl.ctr.Index(c)] }
+
+// buildCenterLandmark solves every per-center hub graph G_c (§8.2.2,
+// Lemmas 21–22) once the seed table is merged: root c in T_c, the
+// landmarks as hubs, each window the first Budget(priority(c)) edges of
+// the c→r path, and the §8.2.1 entry seed(c,r,e) — a small path through
+// c — as the [c]→[r,e] arc. Centers are independent, so the stage fans
+// out across Params.Parallelism workers, each center's graph landing in
+// its own slot; ctx is observed between centers, so a cancelled solve
+// stops after the items already in flight instead of running all |C|
+// Dijkstras to completion.
 func buildCenterLandmark(ctx context.Context, sh *ssrp.Shared, ctr *Centers, seed seedReader) (*centerLandmark, error) {
 	cl := &centerLandmark{
-		ctr:   ctr,
-		lmIdx: make([]int32, sh.G.NumVertices()),
-		rows:  make([][][]int32, len(ctr.List)),
-		prov:  make([]*auxProv, len(ctr.List)),
+		ctr:    ctr,
+		lmIdx:  make([]int32, sh.G.NumVertices()),
+		graphs: make([]*hubGraph, len(ctr.List)),
 	}
 	for v := range cl.lmIdx {
 		cl.lmIdx[v] = -1
@@ -243,185 +228,24 @@ func buildCenterLandmark(ctx context.Context, sh *ssrp.Shared, ctr *Centers, see
 	for i, r := range sh.List {
 		cl.lmIdx[r] = int32(i)
 	}
+	track := tracksPaths(sh.Params)
 	if err := sh.Pool.RunScratchCtx(ctx, len(ctr.List), func(ci int, sc *engine.Scratch) {
 		start := time.Now()
-		rows, ap, sizes := cl.buildOne(sh, ctr.List[ci], seed, sc)
-		cl.rows[ci] = rows
-		cl.prov[ci] = ap
-		cl.nodes.Add(sizes[0])
-		cl.arcs.Add(sizes[1])
+		c := ctr.List[ci]
+		budget := ctr.Budget(ctr.Priority(c))
+		hg := solveHubGraph(hubSpec{
+			g: sh.G, anc: ctr.Anc[c],
+			hubs: sh.List, pos: cl.lmIdx, hubTree: sh.Tree, hubAnc: sh.Anc,
+			window: func(_, l int32) (int32, int32) { return 0, min(budget, l) },
+			seed:   func(r, _, e int32) (int32, bool) { return seed.Get(packCRE(c, r, e)) },
+			track:  track,
+		}, sc)
+		cl.graphs[ci] = hg
+		cl.nodes.Add(int64(hg.nodes))
+		cl.arcs.Add(int64(hg.arcs))
 		cl.buildNanos.Add(time.Since(start).Nanoseconds())
 	}); err != nil {
 		return nil, err
 	}
 	return cl, nil
-}
-
-// buildOne builds and solves G_c, returning the d(c,r,·) rows (dense,
-// indexed by landmark position in sh.List), the retained provenance
-// (TrackPaths only, else nil), and the graph's (nodes, arcs) size pair.
-// It must not write shared state outside c's own slots: the fan-out
-// runs it concurrently across centers. sc backs the transient arc
-// builder and covered-edge buffers.
-func (cl *centerLandmark) buildOne(sh *ssrp.Shared, c int32, seed seedReader, sc *engine.Scratch) ([][]int32, *auxProv, [2]int64) {
-	g := sh.G
-	ctr := cl.ctr
-	tc := ctr.Tree[c]
-	ancC := ctr.Anc[c]
-	budget := ctr.Budget(ctr.Priority(c))
-
-	type lmInfo struct {
-		r        int32
-		li       int32 // r's position in sh.List
-		node     int32
-		base     int32
-		count    int32
-		pathEdge []int32 // covered prefix edges e_0..e_{count-1} in T_c
-	}
-	infos := make([]lmInfo, 0, len(sh.List))
-	next := int32(1)
-	for li, r := range sh.List {
-		if r == c || !tc.Reachable(r) {
-			continue
-		}
-		infos = append(infos, lmInfo{r: r, li: int32(li), node: next})
-		next++
-	}
-	for idx := range infos {
-		in := &infos[idx]
-		l := tc.Dist[in.r]
-		count := budget
-		if l < count {
-			count = l
-		}
-		in.count = count
-		in.base = next
-		next += count
-		// The covered edges are the T_c path *prefix*: walk up from r
-		// and keep the first `count` edges (positions 0..count-1 from
-		// the c side).
-		in.pathEdge = sc.Int32(int(count))
-		x := in.r
-		for j := l - 1; j >= 0; j-- {
-			if j < count {
-				in.pathEdge[j] = tc.ParentEdge[x]
-			}
-			x = tc.Parent[x]
-		}
-	}
-	total := int(next)
-
-	bld := ssrp.AttachedBuilder(sc, total, total*4)
-	for idx := range infos {
-		bld.AddArc(0, infos[idx].node, tc.Dist[infos[idx].r])
-	}
-	for idx := range infos {
-		in := &infos[idx]
-		for j := int32(0); j < in.count; j++ {
-			e := in.pathEdge[j]
-			node := in.base + j
-			if w, ok := seed.Get(packCRE(c, in.r, e)); ok {
-				bld.AddArc(0, node, w)
-			}
-			for jdx := range infos {
-				in2 := &infos[jdx]
-				r2 := in2.r
-				if r2 == in.r {
-					continue
-				}
-				dRR := sh.Tree[r2].Dist[in.r] // |r'r|
-				if dRR < 0 {
-					continue
-				}
-				if sh.Anc[r2].EdgeOnRootPath(g, e, in.r) {
-					continue // e on the canonical r'→r path
-				}
-				if !ancC.EdgeOnRootPath(g, e, r2) {
-					bld.AddArc(in2.node, node, dRR)
-				} else if j < in2.count {
-					bld.AddArc(in2.base+j, node, dRR)
-				}
-			}
-		}
-	}
-	sizes := [2]int64{int64(total), int64(bld.NumArcs())}
-	// G_c is build-run-discard (only the rows below survive), so both
-	// the CSR and the Dijkstra result live in the worker scratch.
-	res := bld.FinalizeScratch(sc).RunScratch(0, sc)
-
-	rows := make([][]int32, len(sh.List))
-	for idx := range infos {
-		in := &infos[idx]
-		row := make([]int32, in.count)
-		for j := int32(0); j < in.count; j++ {
-			d := res.Dist[in.base+j]
-			if d >= int64(rp.Inf) {
-				row[j] = rp.Inf
-			} else {
-				row[j] = int32(d)
-			}
-		}
-		rows[in.li] = row
-	}
-	var ap *auxProv
-	if sh.Params.TrackPaths {
-		ap = &auxProv{
-			parent:  append([]int32(nil), res.Parent...),
-			nodeOwn: make([]int32, total),
-			nodeIdx: make([]int32, total),
-			base:    make(map[int32]int32, len(infos)),
-			start:   make(map[int32]int32, len(infos)),
-		}
-		ap.nodeOwn[0], ap.nodeIdx[0] = -1, -1
-		for idx := range infos {
-			in := &infos[idx]
-			ap.nodeOwn[in.node], ap.nodeIdx[in.node] = in.r, -1
-			ap.base[in.r], ap.start[in.r] = in.base, 0 // G_c covers the prefix
-			for j := int32(0); j < in.count; j++ {
-				ap.nodeOwn[in.base+j] = in.r
-				ap.nodeIdx[in.base+j] = j
-			}
-		}
-	}
-	return rows, ap, sizes
-}
-
-// dCR returns d(c, r, e) where e is a graph edge: |cr| when e is off
-// the canonical (T_c) c→r path, the §8.2.2 value when covered by c's
-// budget, rp.Inf otherwise.
-func (cl *centerLandmark) dCR(sh *ssrp.Shared, c, r int32, e int32) int32 {
-	if c == r {
-		return 0
-	}
-	tc := cl.ctr.Tree[c]
-	if !tc.Reachable(r) {
-		return rp.Inf
-	}
-	if !cl.ctr.Anc[c].EdgeOnRootPath(sh.G, e, r) {
-		return tc.Dist[r]
-	}
-	// e's index on the T_c path toward r is depth(child)−1 in T_c.
-	child, ok := tc.ChildEndpoint(sh.G, e)
-	if !ok {
-		return rp.Inf
-	}
-	j := tc.Dist[child] - 1
-	ci, li := cl.ctr.Index(c), cl.lmIdx[r]
-	if ci < 0 || li < 0 {
-		return rp.Inf
-	}
-	row := cl.rows[ci][li]
-	if j < 0 || j >= int32(len(row)) {
-		return rp.Inf
-	}
-	return row[j]
-}
-
-// provAt returns center c's retained §8.2.2 provenance, or nil.
-func (cl *centerLandmark) provAt(c int32) *auxProv {
-	ci := cl.ctr.Index(c)
-	if ci < 0 {
-		return nil
-	}
-	return cl.prov[ci]
 }

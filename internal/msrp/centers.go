@@ -29,8 +29,9 @@ type Centers struct {
 	budget []int32
 
 	// index maps a vertex id to its position in List (-1 for
-	// non-centers): the dense replacement for the map-of-maps lookups the
-	// §8.2.2 rows used to pay on every dCR call.
+	// non-centers): it picks a center's G_c out of the §8.2.2 fan-out
+	// and a center's row out of every §8.1 G_s (the hub graph's dense
+	// per-hub slots).
 	index []int32
 }
 

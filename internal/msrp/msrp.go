@@ -12,15 +12,15 @@
 //  1. Sample a center family C_0 … C_K (same distribution as landmarks,
 //     sources forced into C_0); build BFS trees and ancestries
 //     (centers.go).
-//  2. §8.1 — per source s, one auxiliary-graph Dijkstra yields
+//  2. §8.1 — per source s, one hub-graph Dijkstra (G_s) yields
 //     d(s, c, e) for every center c and the edges within c's budget of
-//     c on the s→c path (sourcecenter.go).
+//     c on the s→c path (hubgraph.go, buildSourceCenter).
 //  3. §8.2.1 — enumerate the small replacement paths found by the §7.1
 //     Dijkstras of all sources, recording the c→r suffix length of
 //     every center c they pass (centerlandmark.go, the cuckoo table).
-//  4. §8.2.2 — per center c, one auxiliary-graph Dijkstra yields
+//  4. §8.2.2 — per center c, one hub-graph Dijkstra (G_c) yields
 //     d(c, r, e) for every landmark r and the edges within c's budget
-//     (centerlandmark.go).
+//     (hubgraph.go's solver, fanned out in centerlandmark.go).
 //  5. Assembly — per (s, r, e): MTC via the interval decomposition
 //     (Lemma 16), the §7.1 small value, and a sound interval-avoidance
 //     candidate; then fixpoint sweeps of the far/near machinery over
@@ -215,18 +215,14 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 	// end of its stage B, so at most P sources' worth is live at once.
 	// liveSeedPathBytes/peak track that high-water mark.
 	perSrc := make([]*ssrp.PerSource, len(sources))
-	scs := make([]*sourceCenter, len(sources))
+	scs := make([]*hubGraph, len(sources))
 	shards := make([]*cuckoo.Table, len(sources))
 	var buildNanos, enumNanos, assembleNanos atomic.Int64
 	var liveSeedPathBytes, peakSeedPathBytes atomic.Int64
 	buildOne := func(i int, sc *engine.Scratch) {
 		start := time.Now()
 		ps := sh.NewPerSource(sources[i])
-		// §8.3.2 bottleneck values are build-run-discard and carry no
-		// retainable provenance, so a bottleneck solve serves lengths
-		// only: tracking stays off per source, and path queries fail
-		// per-query instead of the whole solve being rejected.
-		ps.TrackPaths = p.TrackPaths && !p.PaperBottleneck
+		ps.TrackPaths = tracksPaths(p)
 		ps.BuildSmallNearScratch(sc)
 		perSrc[i] = ps
 		scs[i] = buildSourceCenter(ps, ctr, sc)
@@ -252,8 +248,8 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 	for i := range perSrc {
 		stats.AuxNodes += int64(perSrc[i].Small.NumNodes)
 		stats.AuxArcs += int64(perSrc[i].Small.NumArcs)
-		stats.SCNodes += int64(scs[i].NumNodes)
-		stats.SCArcs += int64(scs[i].NumArcs)
+		stats.SCNodes += int64(scs[i].nodes)
+		stats.SCArcs += int64(scs[i].arcs)
 	}
 	stats.StagePerSourceBuild = time.Duration(buildNanos.Load())
 	stats.StageSeedEnumerate = time.Duration(enumNanos.Load())
@@ -317,7 +313,7 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 		stats.NearLargeScans += pss[i].combine.NearLargeScans
 	}
 	sol := &Solution{Results: results, PerSource: perSrc, Stats: stats}
-	if p.TrackPaths && !p.PaperBottleneck {
+	if tracksPaths(p) {
 		sol.Prov = newProvenance(sh, ctr, perSrc, scs, cl, seed)
 		stats.ProvenanceBytes = sol.Prov.Bytes()
 		for _, ps := range perSrc {
@@ -326,6 +322,13 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 	}
 	return sol, nil
 }
+
+// tracksPaths reports whether a solve retains the provenance plane.
+// §8.3.2 bottleneck values are build-run-discard and carry no
+// retainable provenance, so a bottleneck solve serves lengths only: no
+// source, G_s or G_c keeps its path state, and path queries fail
+// per-query instead of the whole solve being rejected.
+func tracksPaths(p Params) bool { return p.TrackPaths && !p.PaperBottleneck }
 
 // maxInto raises *peak to v if v is larger (CAS loop; concurrent
 // callers may interleave arbitrarily, the maximum is order-free).

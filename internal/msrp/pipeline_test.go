@@ -124,7 +124,7 @@ func solveBarrier(t *testing.T, g *graph.Graph, sources []int32, par int) []*rp.
 	}
 	ctr := newCenters(sh, sh.DeriveRNG())
 	perSrc := make([]*ssrp.PerSource, len(sources))
-	scs := make([]*sourceCenter, len(sources))
+	scs := make([]*hubGraph, len(sources))
 	sh.Pool.RunScratch(len(sources), func(i int, sc *engine.Scratch) {
 		perSrc[i] = sh.NewPerSource(sources[i])
 		perSrc[i].BuildSmallNearScratch(sc)

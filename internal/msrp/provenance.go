@@ -3,7 +3,6 @@ package msrp
 import (
 	"fmt"
 
-	"msrp/internal/bfs"
 	"msrp/internal/cuckoo"
 	"msrp/internal/rp"
 	"msrp/internal/ssrp"
@@ -25,8 +24,8 @@ import (
 //
 //  1. per source, the §7.1 witness snapshot (ssrp.ProvSnapshot) taken
 //     between seed-shard enumeration and ReleasePathState, and the §8.1
-//     G_s parent chains (auxProv);
-//  2. per center, the §8.2.2 G_c parent chains (auxProv);
+//     G_s parent chains (the hub graph's auxProv);
+//  2. per center, the §8.2.2 G_c parent chains (auxProv again);
 //  3. the merged §8.2.1 seed table itself —
 //
 // and *explains* a value on demand: given the final LenSR[r][i], it
@@ -44,7 +43,7 @@ type Provenance struct {
 	sh     *ssrp.Shared
 	ctr    *Centers
 	perSrc []*ssrp.PerSource
-	scs    []*sourceCenter
+	scs    []*hubGraph
 	cl     *centerLandmark
 	// seed is the merged §8.2.1 table; the explain pass re-reads the
 	// [c]→[r,e] arc weights of G_c from it.
@@ -55,7 +54,7 @@ type Provenance struct {
 // stages have run. It installs itself as every source's landmark-path
 // expander.
 func newProvenance(sh *ssrp.Shared, ctr *Centers, perSrc []*ssrp.PerSource,
-	scs []*sourceCenter, cl *centerLandmark, seed *cuckoo.Table) *Provenance {
+	scs []*hubGraph, cl *centerLandmark, seed *cuckoo.Table) *Provenance {
 	pv := &Provenance{sh: sh, ctr: ctr, perSrc: perSrc, scs: scs, cl: cl, seed: seed}
 	for i := range perSrc {
 		si := i
@@ -76,8 +75,8 @@ func (pv *Provenance) Bytes() int64 {
 	for _, sc := range pv.scs {
 		b += sc.prov.bytes()
 	}
-	for _, ap := range pv.cl.prov {
-		b += ap.bytes()
+	for _, gc := range pv.cl.graphs {
+		b += gc.prov.bytes()
 	}
 	b += pv.seed.Bytes()
 	for _, c := range pv.ctr.List {
@@ -176,7 +175,7 @@ func (pv *Provenance) expandLenSR(si int, r, i, e int32, v int32, depth int) ([]
 		if ps.AncS.EdgeOnRootPath(g, e, c) {
 			continue
 		}
-		d1 := pv.cl.dCR(pv.sh, c, r, e)
+		d1 := pv.cl.at(c).dist(r, e)
 		if d1 >= rp.Inf || ps.Ts.Dist[c]+d1 != v {
 			continue
 		}
@@ -198,11 +197,11 @@ func (pv *Provenance) expandLenSR(si int, r, i, e int32, v int32, depth int) ([]
 		if pv.ctr.Anc[c].EdgeOnRootPath(g, e, r) {
 			continue
 		}
-		d2 := pv.scs[si].dSC(c, int(i), e)
+		d2 := pv.scs[si].dist(c, e)
 		if d2 >= rp.Inf || d2+dcr != v {
 			continue
 		}
-		prefix, err := pv.expandSC(si, c, i, e)
+		prefix, err := pv.expandSC(si, c, e)
 		if err != nil {
 			continue
 		}
@@ -213,104 +212,29 @@ func (pv *Provenance) expandLenSR(si int, r, i, e int32, v int32, depth int) ([]
 }
 
 // expandSC expands a d(s,c,e)-realizing walk (s … c) for source index
-// si through the §8.1 G_s parent chains.
-func (pv *Provenance) expandSC(si int, c, i, e int32) ([]int32, error) {
-	ps := pv.perSrc[si]
-	if c == ps.S {
-		return []int32{ps.S}, nil
-	}
-	if !ps.AncS.EdgeOnRootPath(pv.sh.G, e, c) {
-		return ps.Ts.PathTo(c), nil // canonical s→c avoids e outright
-	}
-	ap := pv.scs[si].prov
-	if ap == nil {
-		return nil, fmt.Errorf("msrp: §8.1 provenance missing (bug: solve did not track)")
-	}
-	node, err := ap.node(c, i)
-	if err != nil {
-		return nil, err
-	}
-	return pv.expandGsNode(si, ap, node)
-}
-
-// expandGsNode expands the G_s shortest path to the given node into the
-// graph walk it stands for. Arc decoding is by node identity: [s]→[c]
-// arcs are canonical prefixes, [s]→[c,e] arcs are §7.1 small paths
-// (snapshot expansion), and center-to-center arcs are canonical legs in
-// the predecessor center's BFS tree.
-func (pv *Provenance) expandGsNode(si int, ap *auxProv, node int32) ([]int32, error) {
-	ps := pv.perSrc[si]
-	own, idx, par := ap.nodeOwn[node], ap.nodeIdx[node], ap.parent[node]
-	if par < 0 {
-		return nil, fmt.Errorf("msrp: G_s node %d has no parent (unreachable?)", node)
-	}
-	if par == 0 {
-		if idx < 0 {
-			return ps.Ts.PathTo(own), nil // [s] → [c] canonical arc
+// si through the §8.1 G_s parent chains; a [s]→[c,e] arc is a §7.1
+// small path, expanded from the witness snapshot.
+func (pv *Provenance) expandSC(si int, c, e int32) ([]int32, error) {
+	snap := pv.perSrc[si].Snap
+	return pv.scs[si].path(c, e, func(c, i, _ int32) ([]int32, error) {
+		if p := snap.PathVertices(c, int(i)); p != nil {
+			return p, nil
 		}
-		if p := ps.Snap.PathVertices(own, int(idx)); p != nil {
-			return p, nil // [s] → [c,e] small-path arc
-		}
-		return nil, fmt.Errorf("msrp: G_s small arc to (%d,%d) has no snapshot path", own, idx)
-	}
-	prefix, err := pv.expandGsNode(si, ap, par)
-	if err != nil {
-		return nil, err
-	}
-	return appendLeg(prefix, pv.ctr.Tree[ap.nodeOwn[par]].PathTo(own)), nil
+		return nil, fmt.Errorf("msrp: G_s small arc to (%d,%d) has no snapshot path", c, i)
+	})
 }
 
 // expandCR expands a d(c,r,e)-realizing walk (c … r) through the
-// §8.2.2 G_c parent chains.
+// §8.2.2 G_c parent chains; a [c]→[r,e] arc is a §8.2.1 seed entry, the
+// c … r suffix of some source's small path through c.
 func (pv *Provenance) expandCR(c, r, e int32) ([]int32, error) {
-	if c == r {
-		return []int32{c}, nil
-	}
-	tc := pv.ctr.Tree[c]
-	if !pv.ctr.Anc[c].EdgeOnRootPath(pv.sh.G, e, r) {
-		return tc.PathTo(r), nil // canonical c→r avoids e outright
-	}
-	ap := pv.cl.provAt(c)
-	if ap == nil {
-		return nil, fmt.Errorf("msrp: §8.2.2 provenance missing (bug: solve did not track)")
-	}
-	child, ok := tc.ChildEndpoint(pv.sh.G, e)
-	if !ok {
-		return nil, fmt.Errorf("msrp: edge %d is not a T_%d tree edge", e, c)
-	}
-	node, err := ap.node(r, tc.Dist[child]-1)
-	if err != nil {
-		return nil, err
-	}
-	return pv.expandGcNode(c, ap, node)
-}
-
-// expandGcNode expands the G_c shortest path to the given node. Arc
-// decoding by node identity again: [c]→[r] arcs are canonical prefixes
-// in T_c, [c]→[r,e] arcs are §8.2.1 seed entries (a suffix of some
-// source's small path through c), and landmark-to-landmark arcs are
-// canonical legs in the predecessor landmark's BFS tree.
-func (pv *Provenance) expandGcNode(c int32, ap *auxProv, node int32) ([]int32, error) {
-	own, idx, par := ap.nodeOwn[node], ap.nodeIdx[node], ap.parent[node]
-	if par < 0 {
-		return nil, fmt.Errorf("msrp: G_c node %d has no parent (unreachable?)", node)
-	}
-	if par == 0 {
-		if idx < 0 {
-			return pv.ctr.Tree[c].PathTo(own), nil // [c] → [r] canonical arc
-		}
-		e := treeEdgeAt(pv.ctr.Tree[c], own, idx)
-		w, ok := pv.seed.Get(packCRE(c, own, e))
+	return pv.cl.at(c).path(r, e, func(r, _, e int32) ([]int32, error) {
+		w, ok := pv.seed.Get(packCRE(c, r, e))
 		if !ok {
-			return nil, fmt.Errorf("msrp: G_c seed arc (%d,%d,%d) missing from the seed table", c, own, e)
+			return nil, fmt.Errorf("msrp: G_c seed arc (%d,%d,%d) missing from the seed table", c, r, e)
 		}
-		return pv.seedSuffix(c, own, e, w)
-	}
-	prefix, err := pv.expandGcNode(c, ap, par)
-	if err != nil {
-		return nil, err
-	}
-	return appendLeg(prefix, pv.sh.Tree[ap.nodeOwn[par]].PathTo(own)), nil
+		return pv.seedSuffix(c, r, e, w)
+	})
 }
 
 // seedSuffix locates a source whose §7.1 small path to landmark r
@@ -350,47 +274,4 @@ func (pv *Provenance) seedSuffix(c, r, e int32, w int32) ([]int32, error) {
 // v, dropping the duplicated junction vertex.
 func appendLeg(prefix, leg []int32) []int32 {
 	return append(prefix, leg[1:]...)
-}
-
-// treeEdgeAt returns the edge id at position j (0-based from the root)
-// of the canonical tree path to v.
-func treeEdgeAt(t *bfs.Tree, v int32, j int32) int32 {
-	x := v
-	for d := t.Dist[v] - 1; d > j; d-- {
-		x = t.Parent[x]
-	}
-	return t.ParentEdge[x]
-}
-
-// auxProv is the retained provenance of one build-run-discard auxiliary
-// Dijkstra (§8.1 G_s, §8.2.2 G_c): the parent chains plus the node
-// decode tables that turn a node id back into its (owner, path-edge
-// index) meaning. 12 bytes per auxiliary node, immutable after the
-// build, byte-accounted into Provenance.Bytes.
-type auxProv struct {
-	parent  []int32
-	nodeOwn []int32 // owner vertex (center/landmark) per node; -1 for node 0
-	nodeIdx []int32 // covered path-edge index per [x,e] node; -1 for [x] nodes
-	base    map[int32]int32
-	start   map[int32]int32
-}
-
-// node maps (owner, covered index) back to the [owner, e] node id.
-func (ap *auxProv) node(own, i int32) (int32, error) {
-	base, ok := ap.base[own]
-	if !ok {
-		return 0, fmt.Errorf("msrp: no aux block for owner %d", own)
-	}
-	n := base + (i - ap.start[own])
-	if n < base || int(n) >= len(ap.parent) || ap.nodeOwn[n] != own {
-		return 0, fmt.Errorf("msrp: index %d outside owner %d's aux block", i, own)
-	}
-	return n, nil
-}
-
-func (ap *auxProv) bytes() int64 {
-	if ap == nil {
-		return 0
-	}
-	return 12*int64(len(ap.parent)) + 24*int64(len(ap.base))
 }

@@ -148,19 +148,6 @@ func (m *Manager) Add() (int, string, error) {
 	return i, url, nil
 }
 
-// Pids returns the live replicas' pids (0 for a down replica).
-func (m *Manager) Pids() []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]int, len(m.procs))
-	for i, p := range m.procs {
-		if p != nil && p.cmd.Process != nil {
-			out[i] = p.cmd.Process.Pid
-		}
-	}
-	return out
-}
-
 func (m *Manager) logf(format string, args ...any) {
 	if m.cfg.Logf != nil {
 		m.cfg.Logf(format, args...)

@@ -121,13 +121,6 @@ func BuildAncestries(g *graph.Graph, roots []int32, trees map[int32]*bfs.Tree, p
 // Sigma returns the number of sources σ.
 func (sh *Shared) Sigma() int { return len(sh.Sources) }
 
-// NearEdgeCap exposes the near-edge count bound (the number of path
-// positions within NearLimit of a target). The MSRP readiness analysis
-// uses it to bound how far from its source a §8.2.1 small-path walk can
-// stray: every walk vertex sits within max landmark distance plus this
-// cap (+1 for the prefix endpoint's adjacency hop).
-func (sh *Shared) NearEdgeCap() int { return sh.nearEdgeCap }
-
 // DeriveRNG returns a fresh deterministic generator derived from the
 // instance seed; the MSRP layer uses it to sample its center family
 // independently of the landmark draws. Every call returns a copy of
@@ -141,10 +134,6 @@ func (sh *Shared) DeriveRNG() *xrand.RNG {
 // NewStats exposes the landmark-size snapshot for callers outside the
 // package (the MSRP solver shares the Stats shape).
 func (sh *Shared) NewStats() *Stats { return sh.newStats() }
-
-// FarBand exposes the near/far classification: the band k for a path
-// edge at the given distance from the target, or -1 when near.
-func (sh *Shared) FarBand(distFromT int32) int { return sh.farBand(distFromT) }
 
 // farBand classifies a path edge at the given distance-from-target into
 // a far band k (distance ∈ [2^{k+1}X, 2^{k+2}X)), or returns -1 when
