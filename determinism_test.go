@@ -41,17 +41,18 @@ func TestMultiSourceDeterminismAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestMultiSourceDeterminismSkewedWorkload is the work-stealing
+// TestMultiSourceDeterminismSkewedWorkload is the skewed-workload
 // determinism proof: a path+star mix gives some sources Θ(n)-deep
 // canonical paths and others depth-1 star hops, so per-item work in
 // every sharded stage differs by orders of magnitude and idle workers
-// must steal. Output must still be bit-identical at every worker count
-// (CI runs this under -race, so it doubles as the data-race proof for
-// the stealing scheduler and the sharded seed-table build).
+// keep claiming items while one is stalled on a heavy one. Output must
+// still be bit-identical at every worker count (CI runs this under
+// -race, so it doubles as the data-race proof for the engine's
+// scheduler and the sharded seed-table build).
 func TestMultiSourceDeterminismSkewedWorkload(t *testing.T) {
 	g := GeneratePathStarMix(21, 110, 36, 30)
 	// Heavy path-tail sources, light star-leaf sources, interleaved so
-	// contiguous initial ranges mix both kinds.
+	// any contiguous run of items mixes both kinds.
 	sources := []int{109, 110, 82, 118, 55, 126, 27, 134}
 
 	var baseline []*Result

@@ -138,7 +138,7 @@ func All() []Experiment {
 		{"E10", "Assembly-mode ablation", "default sound assembly vs the paper's literal §8.3", RunE10},
 		{"E11", "Preserver sizes", "fault-tolerant BFS subgraph vs the Parter–Peleg n^1.5 bound", RunE11},
 		{"E12", "Engine parallel scaling", "σ-source solve and batched Oracle vs Parallelism (near-linear to GOMAXPROCS)", RunE12},
-		{"E13", "Seed-table shard + work-stealing scaling", "sharded §8.2.1 build and steal-half scheduling on a skewed σ-source family", RunE13},
+		{"E13", "Seed-table shard scaling", "sharded §8.2.1 build and one-item atomic-counter scheduling on a skewed σ-source family", RunE13},
 		{"E15", "Provenance plane overhead", "TrackPaths at σ=16: bit-identical lengths, retained ProvenanceBytes vs the transient PeakSeedPathBytes", RunE15},
 	}
 }

@@ -17,10 +17,11 @@ import (
 // hubs a star; half the sources sit deep on the path (Θ(n)-long
 // canonical paths, a full complement of §8.2.1 small paths), half on
 // star leaves (depth-1 trees, almost no work). Suffix lengths per
-// source therefore vary as wildly as the Chechik–Magen-style SSRP
-// preprocessing the issue cites, which is exactly the shape that
-// leaves fixed-chunk schedulers idle and rewards work stealing — and
-// the long chorded path maximizes the seed-table share of the total.
+// source therefore vary as wildly as in Chechik–Magen-style SSRP
+// preprocessing, which is exactly the shape that leaves fixed-chunk
+// schedulers idle and that the engine's one-item-at-a-time atomic
+// counter keeps balanced — and the long chorded path maximizes the
+// seed-table share of the total.
 type SeedTableInstance struct {
 	G       *graph.Graph
 	Sources []int32
@@ -67,7 +68,7 @@ func (inst SeedTableInstance) Preprocess(parallelism int) ([]*rp.Result, *msrp.S
 	return results, stats, d, err
 }
 
-// RunE13 — sharded seed-table build + work-stealing scaling. Sweeps
+// RunE13 — sharded seed-table build scaling on a skewed family. Sweeps
 // Parallelism over the skewed seed-heavy instance and reports the
 // preprocess wall clock, speedup over sequential, the bit-identity
 // check, and the seed table's size and rehash count (presizing keeps
@@ -80,7 +81,7 @@ func RunE13(w io.Writer, cfg Config) error {
 	inst := NewSeedTableInstance(cfg.Quick)
 	fmt.Fprintf(w, "  host: GOMAXPROCS=%d NumCPU=%d\n", runtime.GOMAXPROCS(0), runtime.NumCPU())
 
-	t := NewTable("E13: seed-table shard + work-stealing scaling (skewed σ-source preprocess)",
+	t := NewTable("E13: seed-table shard scaling (skewed σ-source preprocess)",
 		"n", "m", "sigma", "parallelism", "preprocess", "speedup", "identical",
 		"seed_len", "seed_rehashes")
 	var base []*rp.Result

@@ -10,8 +10,9 @@ import (
 // TestSeedTablePreprocessSpeedup asserts the E13 acceptance criterion:
 // ≥ 1.5× wall-clock preprocess speedup at Parallelism=8 over
 // Parallelism=1 on the skewed seed-table-heavy instance — the number
-// the sharded §8.2.1 build plus work stealing must clear over the
-// fixed-chunk engine, which left workers idle on this family. Like
+// the sharded §8.2.1 build plus the engine's one-item-at-a-time
+// scheduler must clear over the fixed-chunk engine, which left workers
+// idle on this family. Like
 // TestSigmaSourceSpeedup, the wall-clock assertion needs ≥ 8 CPUs and
 // an uninstrumented build; everywhere else the test still runs both
 // configurations on the quick instance and checks bit-identical output

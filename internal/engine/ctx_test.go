@@ -26,14 +26,14 @@ func TestRunCtxCompletesWithoutCancel(t *testing.T) {
 }
 
 // TestRunCtxPreCancelled: a context cancelled before the call runs
-// nothing (sequential, counter, and stealing paths).
+// nothing, inline or on the worker goroutines, at small and large n.
 func TestRunCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, tc := range []struct{ workers, n int }{
-		{1, 100},  // sequential
-		{4, 8},    // counter (n < stealMinPerWorker*workers)
-		{4, 1000}, // stealing
+		{1, 100},  // inline
+		{4, 8},    // workers, small n
+		{4, 1000}, // workers, large n
 	} {
 		ran := int64(0)
 		var count = &ran
@@ -72,45 +72,11 @@ func TestRunCtxSequentialCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestRunCtxStealingCancelMidRun: on the work-stealing path a cancel
-// fired by the very first item bounds the damage to the chunks already
-// in flight — nowhere near the full index space.
-func TestRunCtxStealingCancelMidRun(t *testing.T) {
-	const n = 100_000
-	const workers = 4
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	release := make(chan struct{})
-	var executed atomic.Int64
-	err := New(workers).RunCtx(ctx, n, func(i int) {
-		executed.Add(1)
-		if i == 0 {
-			// Item 0 is the front of worker 0's range and thieves take
-			// from the back, so worker 0 always runs it as its first item.
-			cancel()
-			close(release)
-			return
-		}
-		// Every other item parks until the cancel has landed, pinning
-		// each worker inside its current chunk: once released, workers
-		// finish that chunk and the canceled check stops further claims.
-		<-release
-	})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// At most one in-flight chunk per worker ran — bounded by chunks,
-	// not by n.
-	if got := executed.Load(); got > workers*maxStealChunk {
-		t.Fatalf("executed %d of %d items after immediate cancel; want <= %d (one chunk per worker)",
-			got, n, workers*maxStealChunk)
-	}
-}
-
-// TestRunCtxCounterCancelMidRun: same bound on the counter path, where
-// cancellation is observed between single items.
-func TestRunCtxCounterCancelMidRun(t *testing.T) {
-	const n = 12 // < stealMinPerWorker*workers => counter scheduler
+// cancelMidRun: a cancel fired by the very first item bounds the
+// damage to the items already in flight — at most one per worker, at
+// every n, because each worker checks ctx before claiming its next
+// item.
+func cancelMidRun(t *testing.T, n int) {
 	const workers = 4
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -128,12 +94,22 @@ func TestRunCtxCounterCancelMidRun(t *testing.T) {
 		<-release
 	})
 	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
+		t.Fatalf("n=%d: err = %v, want context.Canceled", n, err)
 	}
 	if got := executed.Load(); got > workers {
-		t.Fatalf("executed %d items, want <= %d (one in-flight item per worker)", got, workers)
+		t.Fatalf("n=%d: executed %d items after immediate cancel, want <= %d (one in-flight item per worker)",
+			n, got, workers)
 	}
 }
+
+// TestRunCtxCounterCancelMidRun: the bound at a small n (3 items per
+// worker).
+func TestRunCtxCounterCancelMidRun(t *testing.T) { cancelMidRun(t, 12) }
+
+// TestRunCtxStealingCancelMidRun: the same bound at the large n where
+// range stealing used to let each worker finish its whole claimed chunk
+// after the cancel.
+func TestRunCtxStealingCancelMidRun(t *testing.T) { cancelMidRun(t, 100_000) }
 
 // TestScratchGrowthGeometric asserts the arena reallocates O(log)
 // times across repeated carve-offs, not once per carve-off. Regression:

@@ -39,10 +39,6 @@ type Pool struct {
 	// observable that lets the serving layer assert its steady state
 	// performs no scratch growth (see ScratchAllocs).
 	allocs atomic.Int64
-
-	// steals counts successful range transfers in the work-stealing
-	// scheduler over the pool's lifetime (see Steals).
-	steals atomic.Int64
 }
 
 // New returns a pool with the given worker bound. workers <= 0 selects
@@ -57,15 +53,6 @@ func New(workers int) *Pool {
 
 // Workers returns the resolved worker bound (always >= 1).
 func (p *Pool) Workers() int { return p.workers }
-
-// Steals returns how many range transfers the work-stealing scheduler
-// has performed over the pool's lifetime — across Run, RunScratch, and
-// Pipeline entry points. Steal accounting is observability for the
-// skewed-workload tests and experiments (a zero count on a skewed
-// workload means the scheduler degraded to static partitioning); it is
-// one relaxed atomic increment per successful steal, far off any hot
-// path.
-func (p *Pool) Steals() int64 { return p.steals.Load() }
 
 // ScratchAllocs returns how many Scratch arenas the pool has allocated
 // over its lifetime. In steady state (same stage shapes, same
@@ -96,12 +83,13 @@ func (p *Pool) Run(n int, fn func(i int)) {
 	p.RunScratch(n, func(i int, _ *Scratch) { fn(i) })
 }
 
-// RunCtx is Run with cancellation: workers observe ctx.Done() between
-// items (counter scheduler) or chunks (stealing scheduler) and stop
-// claiming new work once the context is cancelled. Items already
-// started run to completion — fn is never interrupted mid-item — so on
-// a non-nil return some suffix of the index space simply never ran.
-// Returns ctx.Err() if the context was cancelled, nil otherwise.
+// RunCtx is Run with cancellation: workers observe ctx.Done() before
+// claiming each item and stop claiming once the context is cancelled.
+// Items already started run to completion — fn is never interrupted
+// mid-item — so after a cancel at most one in-flight item per worker
+// still finishes, and on a non-nil return some suffix of the index
+// space simply never ran. Returns ctx.Err() if the context was
+// cancelled, nil otherwise.
 func (p *Pool) RunCtx(ctx context.Context, n int, fn func(i int)) error {
 	return p.RunScratchCtx(ctx, n, func(i int, _ *Scratch) { fn(i) })
 }
@@ -118,23 +106,22 @@ func (p *Pool) RunScratchCtx(ctx context.Context, n int, fn func(i int, s *Scrat
 // Buffers obtained from the Scratch are valid only for the current
 // item.
 //
-// Scheduling: each worker starts with a contiguous slice of the index
-// range and drains it front-to-back in chunks; a worker that runs dry
-// steals the top half of another worker's remaining range. Stealing is
-// what keeps workers busy on skewed workloads (per-source replacement
-// path work varies wildly with suffix length) without the per-item
-// compare-and-swap cost of a shared counter. At small n the range
-// bookkeeping cannot pay for itself, so the pool falls back to the
-// plain atomic counter. The schedule never affects output: fn(i) owns
-// index i's state under either strategy.
+// Scheduling: workers claim items one at a time, in index order, from
+// one shared atomic counter, so an idle worker always takes the next
+// unclaimed item and a worker stalled on a heavy item (per-source and
+// per-center work is skewed) strands nothing behind it. One atomic add
+// per item is noise next to the solver's items, the cheapest of which
+// is one BFS or ancestry build over the graph. With one worker, or one
+// item, the items run inline on the calling goroutine. The schedule
+// never affects output: fn(i) owns index i's state.
 func (p *Pool) RunScratch(n int, fn func(i int, s *Scratch)) {
 	p.runScratch(n, nil, fn)
 }
 
 // canceled reports whether done is closed. A nil done channel (the
 // context-free entry points) never cancels; the non-blocking receive
-// costs one channel poll per check, paid between items or chunks —
-// never inside fn.
+// costs one channel poll per check, paid between items — never inside
+// fn.
 func canceled(done <-chan struct{}) bool {
 	if done == nil {
 		return false
@@ -147,40 +134,23 @@ func canceled(done <-chan struct{}) bool {
 	}
 }
 
-// runScratch dispatches to a scheduling strategy. done, when non-nil,
-// is a cancellation signal: once closed, workers stop claiming new
-// items (the current item or chunk still completes).
+// runScratch runs fn over [0, n) on up to Workers() goroutines. done,
+// when non-nil, is a cancellation signal: once closed, workers stop
+// claiming new items (the item in flight still completes).
 func (p *Pool) runScratch(n int, done <-chan struct{}, fn func(i int, s *Scratch)) {
 	if n <= 0 {
 		return
 	}
-	workers := p.workers
-	if workers > n {
-		workers = n
-	}
+	workers := min(p.workers, n)
 	if workers < 2 {
 		s := p.grab()
-		for i := 0; i < n; i++ {
-			if canceled(done) {
-				break
-			}
+		for i := 0; i < n && !canceled(done); i++ {
 			s.Reset()
 			fn(i, s)
 		}
 		p.release(s)
 		return
 	}
-	if n < stealMinPerWorker*workers || n > maxStealItems {
-		p.runCounter(n, workers, done, fn)
-		return
-	}
-	p.runStealing(n, workers, done, fn)
-}
-
-// runCounter shards items with a shared atomic counter: one CAS per
-// item, perfect balance at granularity 1. Best when n is small enough
-// that range bookkeeping would dominate.
-func (p *Pool) runCounter(n, workers int, done <-chan struct{}, fn func(i int, s *Scratch)) {
 	var wg sync.WaitGroup
 	var next atomic.Int64
 	wg.Add(workers)

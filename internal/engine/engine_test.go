@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -8,7 +9,7 @@ import (
 
 func TestRunCoversEveryIndex(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8, 100} {
-		for _, n := range []int{0, 1, 2, 7, 64, 1000} {
+		for _, n := range []int{0, 1, 2, 7, 64, 1000, 4097} {
 			p := New(workers)
 			hits := make([]int32, n)
 			var mu sync.Mutex
@@ -73,86 +74,77 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestForcedSteal proves the stealing path actually transfers work:
-// item 0 blocks worker 0 until every item outside worker 0's first
-// chunk has completed, so the rest of worker 0's range can only finish
-// if the other worker steals it — all of it, including the range's
-// last item (the ceil-half rounding). If stealing is broken or a tail
-// item gets stranded, the test deadlocks and the suite's timeout
-// reports it loudly.
-func TestForcedSteal(t *testing.T) {
-	const n = 1024
+// stalledItemStrandsNothing is the scheduler's liveness contract at
+// P = 2: item 0 parks until every other item has finished, so the run
+// can only complete if the other worker runs all n−1 remaining items —
+// no item may be bound to the stalled worker ahead of time (a pre-split
+// range or a claimed-ahead chunk would be). On regression the test
+// deadlocks and the suite's timeout reports it. Each item's stages A
+// and B must also run on the same scratch (the depth-first contract);
+// without the pipeline both run inside one RunScratch item.
+func stalledItemStrandsNothing(t *testing.T, pipeline bool) {
 	const workers = 2
-	const half = n / workers
-	// Worker 0's first pop claims exactly chunkSize(half) items, because
-	// worker 1 cannot shrink worker 0's range before then: worker 1's
-	// own first item waits for `started`, which closes inside fn(0) —
-	// after worker 0's claiming CAS.
-	stuck := chunkSize(half)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var done atomic.Int64       // completions outside worker 0's first chunk
-	exec := make([]*Scratch, n) // which worker's scratch ran each item
-	New(workers).RunScratch(n, func(i int, s *Scratch) {
-		exec[i] = s
-		switch {
-		case i == 0:
-			close(started)
-			<-release
-		case i >= half:
-			<-started
-			fallthrough
-		default:
-			if i >= stuck && done.Add(1) == int64(n-stuck) {
+	for _, n := range []int{2, 8, 1024} {
+		release := make(chan struct{})
+		var finished atomic.Int64
+		execA := make([]*Scratch, n) // which worker's scratch ran each stage
+		execB := make([]*Scratch, n)
+		stageA := func(i int, s *Scratch) {
+			execA[i] = s
+			if i == 0 {
+				<-release
+			}
+		}
+		stageB := func(i int, s *Scratch) {
+			execB[i] = s
+			if i != 0 && finished.Add(1) == int64(n-1) {
 				close(release)
 			}
 		}
-	})
-	// At release time every item outside [0, stuck) had completed, and
-	// worker 0 was still parked inside fn(0) — so every item of its
-	// remaining range [stuck, half) was stolen and ran on the other
-	// worker's scratch. "Every", not "some".
-	for i := stuck; i < half; i++ {
-		if exec[i] == exec[0] {
-			t.Fatalf("item %d ran on the blocked worker", i)
+		p := New(workers)
+		if pipeline {
+			if err := p.PipelineScratchCtx(context.Background(), n, stageA, stageB); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			p.RunScratch(n, func(i int, s *Scratch) {
+				stageA(i, s)
+				stageB(i, s)
+			})
+		}
+		for i := 0; i < n; i++ {
+			if execA[i] != execB[i] {
+				t.Fatalf("pipeline=%v n=%d: item %d split its stages across workers", pipeline, n, i)
+			}
+			if i > 0 && execA[i] == execA[0] {
+				t.Fatalf("pipeline=%v n=%d: item %d ran on the stalled worker", pipeline, n, i)
+			}
 		}
 	}
 }
 
-// TestStealingMatchesCounter runs the same workload through both
-// scheduling strategies (small n forces the counter, large n the
-// stealing path) and checks identical per-index output.
+// TestForcedSteal: the work a stalled worker would once have had stolen
+// from it must all reach the other worker through RunScratch.
+func TestForcedSteal(t *testing.T) { stalledItemStrandsNothing(t, false) }
+
+// TestStealingMatchesCounter: the sizes that once took the
+// range-stealing path (n ≥ 4 items per worker) and those that took the
+// counter now share one scheduler; at every size and worker count the
+// per-index output must equal the inline P = 1 run's.
 func TestStealingMatchesCounter(t *testing.T) {
 	for _, n := range []int{8, 64, 1000, 4097} {
+		want := make([]int64, n)
+		New(1).Run(n, func(i int) { want[i] = int64(i)*3 + 1 })
 		for _, workers := range []int{2, 3, 8} {
 			out := make([]int64, n)
 			New(workers).Run(n, func(i int) {
 				out[i] = int64(i)*3 + 1
 			})
 			for i := range out {
-				if out[i] != int64(i)*3+1 {
-					t.Fatalf("n=%d workers=%d: out[%d] = %d", n, workers, i, out[i])
+				if out[i] != want[i] {
+					t.Fatalf("n=%d workers=%d: out[%d] = %d, want %d", n, workers, i, out[i], want[i])
 				}
 			}
-		}
-	}
-}
-
-func TestChunkSizeBounds(t *testing.T) {
-	for _, remaining := range []int{1, 2, 7, 8, 100, 1 << 20} {
-		c := chunkSize(remaining)
-		if c < 1 || c > maxStealChunk || c > remaining {
-			t.Fatalf("chunkSize(%d) = %d", remaining, c)
-		}
-	}
-}
-
-func TestRangePacking(t *testing.T) {
-	cases := [][2]int{{0, 0}, {0, 1}, {5, 9}, {0, maxStealItems}, {maxStealItems - 1, maxStealItems}}
-	for _, c := range cases {
-		lo, hi := unpackRange(packRange(c[0], c[1]))
-		if lo != c[0] || hi != c[1] {
-			t.Fatalf("pack/unpack(%d,%d) = (%d,%d)", c[0], c[1], lo, hi)
 		}
 	}
 }

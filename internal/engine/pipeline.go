@@ -15,10 +15,10 @@ import "context"
 //
 // PipelineScratchCtx removes the barrier: items flow through both
 // stages as one schedulable unit, executed depth-first (a worker
-// finishing item i's stage A immediately runs item i's stage B), with
-// whole pending items stealable through the same range-stealing
-// scheduler as RunScratch. Depth-first is deliberate on both axes the
-// barrier hurts:
+// finishing item i's stage A immediately runs item i's stage B), and
+// claimed one whole item at a time from the same atomic counter as
+// RunScratch. Depth-first is deliberate on both axes the barrier
+// hurts:
 //
 //   - Memory: at most one item per worker sits in the "stage A done,
 //     stage B pending" window, so state released at the end of stage B
@@ -36,12 +36,12 @@ import "context"
 // PipelineScratchCtx executes stageA(i) then stageB(i) for every i in
 // [0, n), sharded across up to Workers() goroutines with NO barrier
 // between the stages across items: stage B of item i may run while
-// stage A of item j is still running (or still unclaimed — pending
-// items, both stages, migrate between workers via the stealing
-// scheduler, whose transfers Steals() counts). Within one item the
-// stages run back-to-back on the same worker, each on a freshly Reset
-// scratch — stage A hands state to stage B through the item's own
-// storage (or scratch attachments), never through scratch carve-offs.
+// stage A of item j is still running (or still unclaimed — an idle
+// worker claims the next pending item, both stages). Within one item
+// the stages run back-to-back on the same worker, each on a freshly
+// Reset scratch — stage A hands state to stage B through the item's
+// own storage (or scratch attachments), never through scratch
+// carve-offs.
 //
 // Determinism: both stages touch only state owned by index i, so like
 // RunScratch the schedule cannot change the output — callers whose
@@ -49,20 +49,14 @@ import "context"
 // merge) get bit-identical results at any worker count.
 //
 // Cancellation matches RunScratchCtx, with the boundary refined to
-// stages: ctx is observed before each item's stage A and again between
-// its stage A and stage B (on top of the scheduler's between-chunk
-// checks — a stealing worker drains an already-claimed chunk without
-// re-checking, so the per-item entry check here is what keeps a
-// cancelled run from paying up to a chunk's worth of stage-A work).
-// On a non-nil return some items ran both stages, at most one per
-// worker ran only stage A (the item in flight when the cancel landed),
-// and the rest ran neither. Stages in flight are never interrupted.
+// stages: ctx is observed before each item is claimed (so before its
+// stage A) and again between its stage A and stage B. On a non-nil
+// return some items ran both stages, at most one per worker ran only
+// stage A (the item in flight when the cancel landed), and the rest
+// ran neither. Stages in flight are never interrupted.
 func (p *Pool) PipelineScratchCtx(ctx context.Context, n int, stageA, stageB func(i int, s *Scratch)) error {
 	done := ctx.Done()
 	p.runScratch(n, done, func(i int, s *Scratch) {
-		if canceled(done) {
-			return // claimed after cancellation: run neither stage
-		}
 		stageA(i, s)
 		if canceled(done) {
 			return

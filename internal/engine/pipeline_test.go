@@ -109,61 +109,19 @@ func forcedOverlap(t *testing.T, n, blocked int) {
 	}
 }
 
-// TestPipelineForcedOverlapCounter exercises the counter scheduler
-// (n below the stealing threshold): worker 1 parks in A(1) until B(0)
-// has run.
+// TestPipelineForcedOverlapCounter: the smallest overlap — the other
+// worker parks in A(1) until B(0) has run.
 func TestPipelineForcedOverlapCounter(t *testing.T) { forcedOverlap(t, 2, 1) }
 
-// TestPipelineForcedOverlapStealing exercises the range-stealing
-// scheduler: item n/2 is the second worker's first pop, parked in its
-// stage A until B(0) has run on the other worker.
+// TestPipelineForcedOverlapStealing: the blocked item sits mid-range
+// (n/2), so while one worker waits in B(0) the other must claim and
+// finish every item up to it, then park in A(n/2) until B(0) has run.
 func TestPipelineForcedOverlapStealing(t *testing.T) { forcedOverlap(t, 64, 32) }
 
-// TestPipelineForcedStealAccounting: the forced-steal workload from
-// TestForcedSteal, run through the pipeline entry point — the blocked
-// worker's remaining range must be stolen (both stages of each stolen
-// item run on the thief), and the pool's steal counter must have
-// recorded the transfers.
-func TestPipelineForcedStealAccounting(t *testing.T) {
-	const n = 1024
-	const workers = 2
-	const half = n / workers
-	stuck := chunkSize(half)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var done atomic.Int64
-	execA := make([]*Scratch, n)
-	execB := make([]*Scratch, n)
-	p := New(workers)
-	p.PipelineScratch(n,
-		func(i int, s *Scratch) {
-			execA[i] = s
-			switch {
-			case i == 0:
-				close(started)
-				<-release
-			case i >= half:
-				<-started
-			}
-		},
-		func(i int, s *Scratch) {
-			execB[i] = s
-			if i != 0 && i >= stuck && done.Add(1) == int64(n-stuck) {
-				close(release)
-			}
-		})
-	for i := stuck; i < half; i++ {
-		if execA[i] == execA[0] || execB[i] == execB[0] {
-			t.Fatalf("item %d ran on the blocked worker", i)
-		}
-		if execA[i] != execB[i] {
-			t.Fatalf("item %d split its stages across workers (depth-first contract)", i)
-		}
-	}
-	if p.Steals() == 0 {
-		t.Fatal("forced-steal pipeline recorded no steals")
-	}
-}
+// TestPipelineForcedStealAccounting: the stalled-worker workload of
+// TestForcedSteal through PipelineScratchCtx — every other item's
+// stages A and B must both run on the one worker that is not stalled.
+func TestPipelineForcedStealAccounting(t *testing.T) { stalledItemStrandsNothing(t, true) }
 
 // TestPipelineCtxPreCancelled: a dead context runs nothing in either
 // stage on any scheduler.
@@ -171,9 +129,9 @@ func TestPipelineCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, tc := range []struct{ workers, n int }{
-		{1, 100},  // sequential
-		{4, 8},    // counter
-		{4, 1000}, // stealing
+		{1, 100},  // inline
+		{4, 8},    // workers, small n
+		{4, 1000}, // workers, large n
 	} {
 		var ran atomic.Int64
 		err := New(tc.workers).PipelineScratchCtx(ctx, tc.n,
@@ -188,15 +146,12 @@ func TestPipelineCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// TestPipelineCtxCancelMidChunkStealing pins the cancellation bound on
-// the stealing path: a worker drains an already-claimed chunk without
-// the scheduler re-checking ctx, so the pipeline's per-item entry
-// check is what stops the remaining chunk items from paying their
-// stage A. After a cancel lands, at most one item per worker (the one
-// in flight) may end A-only; every other claimed item must run
-// neither stage.
+// TestPipelineCtxCancelMidChunkStealing pins the cancellation bound at
+// a large n: workers check ctx before claiming each item, so after a
+// cancel lands at most one item per worker (the one in flight) may end
+// A-only; every later item must run neither stage.
 func TestPipelineCtxCancelMidChunkStealing(t *testing.T) {
-	const n, workers = 1024, 2 // n >= stealMinPerWorker*workers: stealing path
+	const n, workers = 1024, 2
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	aRan := make([]atomic.Bool, n)
@@ -205,7 +160,7 @@ func TestPipelineCtxCancelMidChunkStealing(t *testing.T) {
 		func(i int, _ *Scratch) {
 			aRan[i].Store(true)
 			if i == 0 {
-				cancel() // mid-chunk: the first chunk holds ~64 items
+				cancel() // the first item, with ~1000 still unclaimed
 			}
 		},
 		func(i int, _ *Scratch) { bRan[i].Store(true) })

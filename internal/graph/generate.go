@@ -324,7 +324,7 @@ func Caterpillar(spineLen, legsPerSpine int) *Graph {
 // replacement paths feeding the §8.2.1 seed table; a source on a leaf
 // has a depth-1 entry into the same structure and almost no work of
 // its own. Mixing the two produces the maximally skewed per-source
-// workload — the family the engine's work stealing and the sharded
+// workload — the family the engine's scheduler and the sharded
 // seed-table build are measured on (E13).
 func PathStarMix(rng *xrand.RNG, pathN, chords, leaves int) *Graph {
 	if pathN < 2 {

@@ -47,7 +47,16 @@ type Index struct {
 
 // NewAncestry builds only the ancestor structure for t (no LCA table).
 func NewAncestry(g *graph.Graph, t *bfs.Tree) *Ancestry {
-	a, _ := build(g, t, false)
+	n := g.NumVertices()
+	return NewAncestryIn(g, t, make([]int32, n), make([]int32, n))
+}
+
+// NewAncestryIn is NewAncestry writing its timestamps into tin and
+// tout, each of length n, so that a caller building one ancestry per
+// tree of a forest can lay them out in slabs (see bfs.NewForest for why
+// the layout matters).
+func NewAncestryIn(g *graph.Graph, t *bfs.Tree, tin, tout []int32) *Ancestry {
+	a, _ := build(g, t, tin, tout, false)
 	return a
 }
 
@@ -59,17 +68,14 @@ func (a *Ancestry) Bytes() int64 { return 4 * int64(len(a.tin)+len(a.tout)) }
 // the graph t was built from (needed to enumerate children
 // deterministically).
 func New(g *graph.Graph, t *bfs.Tree) *Index {
-	_, ix := build(g, t, true)
+	n := g.NumVertices()
+	_, ix := build(g, t, make([]int32, n), make([]int32, n), true)
 	return ix
 }
 
-func build(g *graph.Graph, t *bfs.Tree, withLCA bool) (*Ancestry, *Index) {
+func build(g *graph.Graph, t *bfs.Tree, tin, tout []int32, withLCA bool) (*Ancestry, *Index) {
 	n := g.NumVertices()
-	anc := &Ancestry{
-		tree: t,
-		tin:  make([]int32, n),
-		tout: make([]int32, n),
-	}
+	anc := &Ancestry{tree: t, tin: tin, tout: tout}
 	var ix *Index
 	if withLCA {
 		ix = &Index{first: make([]int32, n)}

@@ -206,9 +206,9 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 	// source's build, so the two stages run as one dependency-aware
 	// pipeline over the engine pool: a worker finishing source i's
 	// build immediately enumerates source i's shard while other sources
-	// are still building (or unclaimed, and stealable). Each worker's
-	// scratch carries the arc-builder arrays from item to item (and,
-	// via the pool free list, into the later stages).
+	// are still building (or not yet claimed). Each worker's scratch
+	// carries the arc-builder arrays from item to item (and, via the
+	// pool free list, into the later stages).
 	//
 	// Memory: a source's §7.1 path-expansion state (the only input of
 	// its shard enumeration not needed afterwards) is released at the

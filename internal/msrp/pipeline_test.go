@@ -12,7 +12,7 @@ import (
 )
 
 // pipelineFamilies mirrors the public crosscheck families (plus the
-// skewed PathStarMix the work-stealing engine is measured on) at sizes
+// skewed PathStarMix the engine's scheduler is measured on) at sizes
 // where the σ-source solve runs in milliseconds, so the determinism
 // sweep below stays cheap under -race.
 func pipelineFamilies() []struct {
@@ -82,13 +82,14 @@ func solveAt(t *testing.T, g *graph.Graph, sources []int32, par int, track bool)
 
 // TestSchedulesBitIdentical is the solve's determinism sweep. The
 // stages always run in one order, but the engine schedules their items
-// differently at every worker count (inline at P=1, range-stealing with
-// build→enumerate overlap at P>1), and tracking adds a witness snapshot
-// inside the pipelined enumerate stage. For every family, each P ∈ {1,
-// 2, 8} with tracking off and on must return results bit-identical to
-// the P=1 untracked solve. CI runs this under -race, so it doubles as
-// the data-race proof for the pipelined stages, the early path-state
-// release and the tracked snapshots.
+// differently at every worker count (inline at P=1, claimed from one
+// atomic counter with build→enumerate overlap at P>1), and tracking
+// adds a witness snapshot inside the pipelined enumerate stage. For
+// every family, each P ∈ {1, 2, 8} with tracking off and on must
+// return results bit-identical to the P=1 untracked solve. CI runs
+// this under -race, so it doubles as the data-race proof for the
+// pipelined stages, the early path-state release and the tracked
+// snapshots.
 func TestSchedulesBitIdentical(t *testing.T) {
 	for _, f := range pipelineFamilies() {
 		t.Run(f.name, func(t *testing.T) {

@@ -47,7 +47,8 @@ func buildSeedForTest(t *testing.T, g *graph.Graph, sources []int32, par int) (m
 // core invariant: because MinPut merges with a commutative, idempotent
 // minimum, the merged table's contents are identical for every worker
 // count — here on the skewed path+star family where per-source work
-// differs by orders of magnitude and the engine actually steals.
+// differs by orders of magnitude and idle workers keep claiming items
+// past a stalled heavy one.
 func TestSeedTableSequentialVsSharded(t *testing.T) {
 	g := graph.PathStarMix(xrand.New(9), 120, 40, 24)
 	// Deep path sources (heavy) mixed with star leaves (trivial).

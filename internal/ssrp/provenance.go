@@ -72,7 +72,8 @@ func (snap *ProvSnapshot) PathVertices(t int32, i int) []int32 {
 }
 
 // PathVerticesInto is PathVertices writing into dst's backing array
-// when it has the capacity.
+// when it has the capacity. It is the one §7.1 small-path walk:
+// SmallNear.PathVerticesInto runs it over a view of the live arrays.
 func (snap *ProvSnapshot) PathVerticesInto(dst []int32, t int32, i int) []int32 {
 	sn := snap.sn
 	n := int32(sn.n)

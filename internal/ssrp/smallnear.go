@@ -231,42 +231,12 @@ func (sn *SmallNear) PathVertices(t int32, i int) []int32 {
 // when it has the capacity (allocating only when it does not). The
 // §8.2.1 seed-table build expands Θ(σn) of these paths; routing them
 // through one per-worker scratch buffer removes its dominant per-path
-// allocation.
+// allocation. The walk is the snapshot's, run over a stack view of the
+// live arrays (the snapshot's teParent is a copy of res.Parent[n:]).
 func (sn *SmallNear) PathVerticesInto(dst []int32, t int32, i int) []int32 {
 	if sn.released {
 		panic("ssrp: SmallNear path state was released; PathVertices must run before ReleasePathState")
 	}
-	base := sn.teBase[t]
-	if base < 0 || int32(i) < sn.startIdx[t] || int32(i) >= sn.ps.Ts.Dist[t] {
-		return nil
-	}
-	node := base + (int32(i) - sn.startIdx[t])
-	if sn.res.Dist[node] >= int64(rp.Inf) {
-		return nil
-	}
-	// The predecessor chain is a run of [t',e] nodes ending at one [v]
-	// node whose canonical prefix completes the walk. First pass: count
-	// the tail and find the vertex node; second pass: fill in place.
-	tailLen := 0
-	v := node
-	for v >= int32(sn.n) {
-		tailLen++
-		v = sn.res.Parent[v]
-	}
-	prefixLen := int(sn.ps.Ts.Dist[v]) + 1
-	total := prefixLen + tailLen
-	if cap(dst) < total {
-		dst = make([]int32, total)
-	} else {
-		dst = dst[:total]
-	}
-	for j, x := prefixLen-1, v; j >= 0; j-- {
-		dst[j] = x
-		x = sn.ps.Ts.Parent[x]
-	}
-	for j, x := total-1, node; x >= int32(sn.n); j-- {
-		dst[j] = sn.teVertex[x-int32(sn.n)]
-		x = sn.res.Parent[x]
-	}
-	return dst
+	live := ProvSnapshot{sn: sn, teParent: sn.res.Parent[sn.n:], teVertex: sn.teVertex}
+	return live.PathVerticesInto(dst, t, i)
 }
