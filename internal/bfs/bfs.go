@@ -46,22 +46,19 @@ type Tree struct {
 // New computes the BFS tree of root in g.
 func New(g *graph.Graph, root int) *Tree {
 	n := g.NumVertices()
-	return build(g, root, make([]int32, n), make([]int32, n), make([]int32, n), make([]int32, 0, n))
-}
-
-// build is New writing into caller-owned arrays: dist, parent and edge
-// of length n, and order of length 0 and capacity n.
-func build(g *graph.Graph, root int, dist, parent, edge, order []int32) *Tree {
-	n := g.NumVertices()
 	if root < 0 || root >= n {
 		panic(fmt.Sprintf("bfs: root %d out of range [0,%d)", root, n))
 	}
+	// The four arrays share one allocation: a forest holds a tree per
+	// landmark or center, and four separate n-element arrays each round
+	// up to their allocation size class (896 bytes for 800 at n = 200).
+	buf := make([]int32, 4*n)
 	t := &Tree{
 		Root:       int32(root),
-		Dist:       dist,
-		Parent:     parent,
-		ParentEdge: edge,
-		Order:      order,
+		Dist:       buf[:n:n],
+		Parent:     buf[n : 2*n : 2*n],
+		ParentEdge: buf[2*n : 3*n : 3*n],
+		Order:      buf[3*n : 3*n : 4*n],
 	}
 	for i := 0; i < n; i++ {
 		t.Dist[i] = Unreachable
@@ -191,16 +188,6 @@ type Forest struct {
 // the given engine pool (nil means sequential). Duplicated roots are
 // built once. The result is deterministic regardless of the pool's
 // worker count because each tree depends only on (g, root).
-//
-// Each array kind of every tree lives in one slab, tree after tree in
-// root order, so one vertex's entries across the forest sit a fixed
-// stride apart whichever worker built each tree. The §8.2.2 inner loop
-// reads exactly that: one vertex across every hub tree, in order.
-// Per-tree allocations would instead follow the build schedule, and
-// items claimed alternately by two workers interleave their heap spans
-// (about 10% of the P=2 solve on a 2-vCPU host). The stride is n
-// rounded up to whole 64-byte cache lines, so two workers building
-// neighbouring trees never write the same line.
 func NewForest(g *graph.Graph, roots []int32, pool *engine.Pool) *Forest {
 	uniq := make([]int32, 0, len(roots))
 	seen := make(map[int32]struct{}, len(roots))
@@ -217,13 +204,9 @@ func NewForest(g *graph.Graph, roots []int32, pool *engine.Pool) *Forest {
 	if pool == nil {
 		pool = engine.New(1)
 	}
-	n, k := g.NumVertices(), len(uniq)
-	stride := (n + 15) &^ 15
-	dist, parent, edge, order := make([]int32, k*stride), make([]int32, k*stride), make([]int32, k*stride), make([]int32, k*stride)
-	built := make([]*Tree, k)
-	pool.Run(k, func(i int) {
-		lo, hi := i*stride, i*stride+n
-		built[i] = build(g, int(uniq[i]), dist[lo:hi:hi], parent[lo:hi:hi], edge[lo:hi:hi], order[lo:lo:hi])
+	built := make([]*Tree, len(uniq))
+	pool.Run(len(uniq), func(i int) {
+		built[i] = New(g, int(uniq[i]))
 	})
 	for i, r := range uniq {
 		f.Trees[r] = built[i]

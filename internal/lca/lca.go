@@ -47,16 +47,7 @@ type Index struct {
 
 // NewAncestry builds only the ancestor structure for t (no LCA table).
 func NewAncestry(g *graph.Graph, t *bfs.Tree) *Ancestry {
-	n := g.NumVertices()
-	return NewAncestryIn(g, t, make([]int32, n), make([]int32, n))
-}
-
-// NewAncestryIn is NewAncestry writing its timestamps into tin and
-// tout, each of length n, so that a caller building one ancestry per
-// tree of a forest can lay them out in slabs (see bfs.NewForest for why
-// the layout matters).
-func NewAncestryIn(g *graph.Graph, t *bfs.Tree, tin, tout []int32) *Ancestry {
-	a, _ := build(g, t, tin, tout, false)
+	a, _ := build(g, t, false)
 	return a
 }
 
@@ -68,14 +59,18 @@ func (a *Ancestry) Bytes() int64 { return 4 * int64(len(a.tin)+len(a.tout)) }
 // the graph t was built from (needed to enumerate children
 // deterministically).
 func New(g *graph.Graph, t *bfs.Tree) *Index {
-	n := g.NumVertices()
-	_, ix := build(g, t, make([]int32, n), make([]int32, n), true)
+	_, ix := build(g, t, true)
 	return ix
 }
 
-func build(g *graph.Graph, t *bfs.Tree, tin, tout []int32, withLCA bool) (*Ancestry, *Index) {
+func build(g *graph.Graph, t *bfs.Tree, withLCA bool) (*Ancestry, *Index) {
 	n := g.NumVertices()
-	anc := &Ancestry{tree: t, tin: tin, tout: tout}
+	stamps := make([]int32, 2*n) // one allocation, as for the tree's arrays
+	anc := &Ancestry{
+		tree: t,
+		tin:  stamps[:n:n],
+		tout: stamps[n:],
+	}
 	var ix *Index
 	if withLCA {
 		ix = &Index{first: make([]int32, n)}
@@ -195,6 +190,12 @@ func (ix *Index) depthAt(tourPos int32) int32 {
 
 // Tree returns the underlying BFS tree.
 func (a *Ancestry) Tree() *bfs.Tree { return a.tree }
+
+// Stamps returns v's DFS entry and exit timestamps (-1, -1 when v is
+// unreachable): for reachable x and y, x is an ancestor of y iff
+// tin(x) <= tin(y) && tout(y) <= tout(x). Callers that test one vertex
+// against many trees copy the stamps into a layout of their own.
+func (a *Ancestry) Stamps(v int32) (tin, tout int32) { return a.tin[v], a.tout[v] }
 
 // IsAncestor reports whether a is an ancestor of b (inclusive: every
 // reachable vertex is an ancestor of itself). Unreachable vertices have

@@ -105,7 +105,7 @@ func mergeSeedShards(shards []*cuckoo.Table) (*cuckoo.Table, int) {
 // run through scratch buffers sized once per item, so the Θ(n) sweep
 // performs no per-path allocation.
 func buildSeedShard(ps *ssrp.PerSource, ctr *Centers, sc *engine.Scratch) *cuckoo.Table {
-	table := cuckoo.New(estimateSeedEntries(ps, ctr))
+	table := cuckoo.New(estimateSeedEntries(ps))
 	n := ps.Sh.G.NumVertices()
 	edgeBuf := sc.Int32(n) // canonical tree paths have < n edges
 	// Small replacement paths are walks — prefix plus near-hop tail can
@@ -144,26 +144,25 @@ func buildSeedShard(ps *ssrp.PerSource, ctr *Centers, sc *engine.Scratch) *cucko
 	return table
 }
 
-// estimateSeedEntries predicts one source's seed-table contribution so
-// the shard can be presized (no growth-rehash cascade mid-build). Each
-// landmark r offers min(nearEdgeCap, |sr|) small paths of length at
-// most |sr| + 2X, and a vertex on such a path is a center with
-// frequency ≈ |C|/n, so the expected entries per path are its length
-// times that density. Overestimating only costs slack memory; the
-// estimate is deliberately generous.
-func estimateSeedEntries(ps *ssrp.PerSource, ctr *Centers) int {
-	n := ps.Sh.G.NumVertices()
-	density := float64(len(ctr.List)) / float64(n)
-	est := 0.0
+// estimateSeedEntries bounds one source's seed-table contribution so
+// the shard can be presized (no growth-rehash cascade mid-build). A
+// small path of length w adds at most one entry per vertex before r,
+// so the sum of the enumerated small values is an upper bound. On E8's
+// seed-300 graph it is 1.4× the real count (TestSeedEstimateCoversActual
+// holds it within 2×).
+func estimateSeedEntries(ps *ssrp.PerSource) int {
+	est := 0
 	for _, r := range ps.Sh.List {
 		if r == ps.S || !ps.Ts.Reachable(r) {
 			continue
 		}
-		l := float64(ps.Ts.Dist[r])
-		paths := l - float64(ps.Small.NearStart(r))
-		est += paths * (1 + density*(l+2*ps.Sh.X))
+		for i := ps.Small.NearStart(r); i < ps.Ts.Dist[r]; i++ {
+			if w := ps.Small.Value(r, int(i)); w < rp.Inf {
+				est += int(w)
+			}
+		}
 	}
-	return int(est)
+	return est
 }
 
 // centerLandmark holds the §8.2.2 output: one solved G_c per center c,
@@ -215,7 +214,8 @@ func (cl *centerLandmark) at(c int32) *hubGraph { return cl.graphs[cl.ctr.Index(
 // out across Params.Parallelism workers, each center's graph landing in
 // its own slot; ctx is observed between centers, so a cancelled solve
 // stops after the items already in flight instead of running all |C|
-// Dijkstras to completion.
+// Dijkstras to completion. The landmarks' hub table is built once for
+// the fan-out and dropped with it.
 func buildCenterLandmark(ctx context.Context, sh *ssrp.Shared, ctr *Centers, seed seedReader) (*centerLandmark, error) {
 	cl := &centerLandmark{
 		ctr:    ctr,
@@ -228,18 +228,10 @@ func buildCenterLandmark(ctx context.Context, sh *ssrp.Shared, ctr *Centers, see
 	for i, r := range sh.List {
 		cl.lmIdx[r] = int32(i)
 	}
-	track := tracksPaths(sh.Params)
+	lt := newHubTable(sh.G.NumVertices(), sh.List, sh.Tree, sh.Anc)
 	if err := sh.Pool.RunScratchCtx(ctx, len(ctr.List), func(ci int, sc *engine.Scratch) {
 		start := time.Now()
-		c := ctr.List[ci]
-		budget := ctr.Budget(ctr.Priority(c))
-		hg := solveHubGraph(hubSpec{
-			g: sh.G, anc: ctr.Anc[c],
-			hubs: sh.List, pos: cl.lmIdx, hubTree: sh.Tree, hubAnc: sh.Anc,
-			window: func(_, l int32) (int32, int32) { return 0, min(budget, l) },
-			seed:   func(r, _, e int32) (int32, bool) { return seed.Get(packCRE(c, r, e)) },
-			track:  track,
-		}, sc)
+		hg := solveHubGraph(cl.spec(sh, ctr.List[ci], lt, seed), sc)
 		cl.graphs[ci] = hg
 		cl.nodes.Add(int64(hg.nodes))
 		cl.arcs.Add(int64(hg.arcs))
@@ -248,4 +240,16 @@ func buildCenterLandmark(ctx context.Context, sh *ssrp.Shared, ctr *Centers, see
 		return nil, err
 	}
 	return cl, nil
+}
+
+// spec describes center c's G_c over the landmarks' hub table lt.
+func (cl *centerLandmark) spec(sh *ssrp.Shared, c int32, lt *hubTable, seed seedReader) hubSpec {
+	budget := cl.ctr.Budget(cl.ctr.Priority(c))
+	return hubSpec{
+		g: sh.G, anc: cl.ctr.Anc[c],
+		hubs: sh.List, pos: cl.lmIdx, table: lt, hubTree: sh.Tree,
+		window: func(_, l int32) (int32, int32) { return 0, min(budget, l) },
+		seed:   func(r, _, e int32) (int32, bool) { return seed.Get(packCRE(c, r, e)) },
+		track:  tracksPaths(sh.Params),
+	}
 }

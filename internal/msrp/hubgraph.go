@@ -2,8 +2,10 @@ package msrp
 
 import (
 	"fmt"
+	"math"
 
 	"msrp/internal/bfs"
+	"msrp/internal/dijkstra"
 	"msrp/internal/engine"
 	"msrp/internal/graph"
 	"msrp/internal/lca"
@@ -40,13 +42,13 @@ type hubSpec struct {
 	anc *lca.Ancestry // ancestry of the root's canonical tree T_x
 
 	// hubs lists the candidate hubs in node order; pos[v] is v's index
-	// in hubs (-1 otherwise). hubTree and hubAnc give each hub's BFS
-	// tree and ancestry: the |h'h| weights, the e ∉ h'h test, and the
-	// h'→h legs of an expanded path.
+	// in hubs (-1 otherwise). table is the family's hub table (the
+	// |h'h| weights and the e ∉ h'h test), hubTree each hub's BFS tree
+	// (the h'→h legs of an expanded path).
 	hubs    []int32
 	pos     []int32
+	table   *hubTable
 	hubTree map[int32]*bfs.Tree
-	hubAnc  map[int32]*lca.Ancestry
 
 	// window returns the covered index range [lo, hi) of the canonical
 	// x→h path of length l.
@@ -56,6 +58,51 @@ type hubSpec struct {
 	seed func(h, i, e int32) (int32, bool)
 	// track retains the parent chains (auxProv) for path expansion.
 	track bool
+}
+
+// hubCell is vertex v as one hub h′'s BFS tree sees it: |h′v| (-1 when
+// unreachable), v's parent edge in T_{h′} (-1 at h′ and when
+// unreachable) and v's DFS stamps in T_{h′}.
+type hubCell struct {
+	dist, edge, tin, tout int32
+}
+
+// hubTable is one hub family's BFS trees and ancestries transposed to
+// vertex-major cells: row(v)[j] is v in the tree of the family's j-th
+// hub. The hub-graph arc loop reads one vertex across every hub tree,
+// so each such read is one contiguous row. A solve builds one table per
+// family (the centers for G_s, the landmarks for G_c) and drops it when
+// it returns.
+type hubTable struct {
+	k     int // hubs per row
+	cells []hubCell
+}
+
+// newHubTable transposes the trees and ancestries of hubs into a table
+// over n vertices.
+func newHubTable(n int, hubs []int32, trees map[int32]*bfs.Tree, anc map[int32]*lca.Ancestry) *hubTable {
+	ht := &hubTable{k: len(hubs), cells: make([]hubCell, n*len(hubs))}
+	for j, h := range hubs {
+		t, a := trees[h], anc[h]
+		for v := range n {
+			tin, tout := a.Stamps(int32(v))
+			ht.cells[v*ht.k+j] = hubCell{dist: t.Dist[v], edge: t.ParentEdge[v], tin: tin, tout: tout}
+		}
+	}
+	return ht
+}
+
+// row returns vertex v's cells, one per hub in family order.
+func (ht *hubTable) row(v int32) []hubCell {
+	lo, hi := int(v)*ht.k, (int(v)+1)*ht.k
+	return ht.cells[lo:hi:hi]
+}
+
+// hubSlot is one hub's place in the node space: its [h] node (-1 for
+// the root and for hubs T_x does not reach, which get no nodes), the
+// first node of its [h,e] block and its covered index range [lo, hi).
+type hubSlot struct {
+	node, base, lo, hi int32
 }
 
 // hubGraph is a solved hub graph: dense per-hub rows of d(x,h,e), the
@@ -82,80 +129,142 @@ type hubGraph struct {
 // solveHubGraph builds the hub graph the spec describes and solves it
 // with one Dijkstra run. Both the CSR and the Dijkstra result live in
 // scr: only the rows (and the tracked parent chains) survive.
+//
+// Arcs are emitted edge by edge. Every covered (h, i) pair is filed
+// under the T_x child vertex c of its edge (e = c's parent edge, i =
+// depth(c) − 1). Per edge and per hub h′, the arc's source node and
+// the stamps of e's child endpoint in T_{h′} are resolved once; each
+// member hub h then scans its own table row, so the (h, h′) loop is
+// two stamp comparisons per arc. Each arc has its own target and the
+// Dijkstra pops in (dist, id) order, so the emission order changes
+// neither the rows nor the parent chains.
 func solveHubGraph(spec hubSpec, scr *engine.Scratch) *hubGraph {
-	g := spec.g
-	tree := spec.anc.Tree()
-	type hubInfo struct {
-		h      int32
-		node   int32         // [h] node id
-		base   int32         // first [h,e] node id
-		lo, hi int32         // covered path-edge indices [lo, hi)
-		edges  []int32       // covered edges e_lo … e_{hi−1}
-		dist   []int32       // |h ·| in h's own tree
-		anc    *lca.Ancestry // ancestry of h's own tree
-	}
-	infos := make([]hubInfo, 0, len(spec.hubs))
+	g, tree := spec.g, spec.anc.Tree()
+	n, k := g.NumVertices(), len(spec.hubs)
+	slots := make([]hubSlot, k)
 	next := int32(1)
-	for _, h := range spec.hubs {
-		if h == tree.Root || !tree.Reachable(h) {
+	for j, h := range spec.hubs {
+		slots[j].node = -1
+		if h != tree.Root && tree.Reachable(h) {
+			slots[j].node = next
+			next++
+		}
+	}
+	for j, h := range spec.hubs {
+		if sl := &slots[j]; sl.node >= 0 {
+			sl.lo, sl.hi = spec.window(h, tree.Dist[h])
+			sl.base = next
+			next += sl.hi - sl.lo
+		}
+	}
+	// covered visits the T_x child vertex c of every covered edge on
+	// hub j's path: c sits at depth i+1 for the edge at index i.
+	covered := func(j int, visit func(c int32)) {
+		sl := slots[j]
+		for c, d := spec.hubs[j], tree.Dist[spec.hubs[j]]; d > sl.lo; c, d = tree.Parent[c], d-1 {
+			if d <= sl.hi {
+				visit(c)
+			}
+		}
+	}
+	// Bucket the pairs by child vertex (a counting sort): members holds
+	// hub positions, c's bucket ends at at[c] and starts where c−1's
+	// ends.
+	at := make([]int32, n+1)
+	for j := range slots {
+		if slots[j].node >= 0 {
+			covered(j, func(c int32) { at[c+1]++ })
+		}
+	}
+	for c := range n {
+		at[c+1] += at[c]
+	}
+	members := scr.Int32(int(at[n]))
+	for j := range slots {
+		if slots[j].node >= 0 {
+			covered(j, func(c int32) { members[at[c]] = int32(j); at[c]++ })
+		}
+	}
+
+	total := int(next)
+	bld := ssrp.AttachedBuilder(scr, total, total*4)
+	xs := make([][2]int32, k) // each hub's T_x stamps
+	for j, h := range spec.hubs {
+		if slots[j].node >= 0 {
+			bld.AddArc(0, slots[j].node, tree.Dist[h])
+			xs[j][0], xs[j][1] = spec.anc.Stamps(h)
+		}
+	}
+	// via[j] is hub j's side of the current edge e: src, the node an
+	// arc from j leaves ([h_j] if e ∉ xh_j, [h_j,e] if e lies in h_j's
+	// window, -1 for neither or no node), and tin/tout, the stamps of
+	// e's child endpoint in T_{h_j} (tin = MaxInt32 when e is not a
+	// T_{h_j} edge, so no vertex lies below it).
+	type hubVia struct{ src, tin, tout int32 }
+	via := make([]hubVia, k)
+	first := int32(0)
+	for c := range int32(n) {
+		bucket := members[first:at[c]]
+		first = at[c]
+		if len(bucket) == 0 {
 			continue
 		}
-		infos = append(infos, hubInfo{h: h, node: next, dist: spec.hubTree[h].Dist, anc: spec.hubAnc[h]})
-		next++
-	}
-	for idx := range infos {
-		in := &infos[idx]
-		l := tree.Dist[in.h]
-		in.lo, in.hi = spec.window(in.h, l)
-		in.base = next
-		next += in.hi - in.lo
-		// Walk up from h collecting the covered edges of its path.
-		in.edges = scr.Int32(int(in.hi - in.lo))
-		x := in.h
-		for i := l - 1; i >= in.lo; i-- {
-			if i < in.hi {
-				in.edges[i-in.lo] = tree.ParentEdge[x]
+		e, i := tree.ParentEdge[c], tree.Dist[c]-1
+		cin, cout := spec.anc.Stamps(c)
+		u, v := g.EdgeEndpoints(int(e))
+		ru, rv := spec.table.row(u), spec.table.row(v)
+		for j := range via {
+			sl, vj := &slots[j], &via[j]
+			switch {
+			case sl.node < 0:
+				vj.src = -1
+				continue
+			case cin > xs[j][0] || xs[j][1] > cout: // e ∉ xh_j
+				vj.src = sl.node
+			case i >= sl.lo && i < sl.hi:
+				vj.src = sl.base + (i - sl.lo)
+			default:
+				vj.src = -1
+				continue
 			}
-			x = tree.Parent[x]
+			switch e {
+			case rv[j].edge:
+				vj.tin, vj.tout = rv[j].tin, rv[j].tout
+			case ru[j].edge:
+				vj.tin, vj.tout = ru[j].tin, ru[j].tout
+			default:
+				vj.tin = math.MaxInt32
+			}
 		}
-	}
-	total := int(next)
-
-	bld := ssrp.AttachedBuilder(scr, total, total*4)
-	for idx := range infos {
-		bld.AddArc(0, infos[idx].node, tree.Dist[infos[idx].h])
-	}
-	for idx := range infos {
-		in := &infos[idx]
-		for i := in.lo; i < in.hi; i++ {
-			e := in.edges[i-in.lo]
-			node := in.base + (i - in.lo)
-			if w, ok := spec.seed(in.h, i, e); ok {
+		for _, m := range bucket {
+			h, sl := spec.hubs[m], slots[m]
+			node := sl.base + (i - sl.lo)
+			if w, ok := spec.seed(h, i, e); ok {
 				bld.AddArc(0, node, w)
 			}
-			child, _ := tree.ChildEndpoint(g, e)
-			for jdx := range infos {
-				in2 := &infos[jdx]
-				if in2.h == in.h {
+			row := spec.table.row(h)
+			for j, vj := range via {
+				if vj.src < 0 || j == int(m) {
 					continue
 				}
-				d := in2.dist[in.h] // |h'h|
-				if d < 0 || in2.anc.EdgeOnRootPath(g, e, in.h) {
-					continue // e on the canonical h'→h path
-				}
-				if !spec.anc.IsAncestor(child, in2.h) {
-					// e not on x→h': the [h'] node's canonical prefix
-					// avoids e.
-					bld.AddArc(in2.node, node, d)
-				} else if i >= in2.lo && i < in2.hi {
-					// e on x→h' within the covered block of h'.
-					bld.AddArc(in2.base+(i-in2.lo), node, d)
+				// |h_j h|, unless h is unreachable from h_j or e lies
+				// on the canonical h_j→h path.
+				if d := row[j]; d.dist >= 0 && (vj.tin > d.tin || d.tout > vj.tout) {
+					bld.AddArc(vj.src, node, d.dist)
 				}
 			}
 		}
 	}
+	return finishHubGraph(spec, slots, bld, scr)
+}
+
+// finishHubGraph runs the Dijkstra over bld's arcs and keeps what
+// outlives scr: each placed hub's row and, under spec.track, the parent
+// chains with their node decode tables.
+func finishHubGraph(spec hubSpec, slots []hubSlot, bld *dijkstra.Builder, scr *engine.Scratch) *hubGraph {
+	total := bld.NumNodes()
 	hg := &hubGraph{
-		g: g, anc: spec.anc, pos: spec.pos, hubTree: spec.hubTree,
+		g: spec.g, anc: spec.anc, pos: spec.pos, hubTree: spec.hubTree,
 		start: make([]int32, len(spec.hubs)),
 		rows:  make([][]int32, len(spec.hubs)),
 		nodes: total,
@@ -163,31 +272,37 @@ func solveHubGraph(spec hubSpec, scr *engine.Scratch) *hubGraph {
 	}
 	res := bld.FinalizeScratch(scr).RunScratch(0, scr)
 
-	for idx := range infos {
-		in := &infos[idx]
-		row := make([]int32, in.hi-in.lo)
-		for off := range row {
-			row[off] = int32(min(res.Dist[in.base+int32(off)], int64(rp.Inf)))
+	placed := 0
+	for j, sl := range slots {
+		if sl.node < 0 {
+			continue
 		}
-		k := spec.pos[in.h]
-		hg.start[k], hg.rows[k] = in.lo, row
+		placed++
+		row := make([]int32, sl.hi-sl.lo)
+		for off := range row {
+			row[off] = int32(min(res.Dist[sl.base+int32(off)], int64(rp.Inf)))
+		}
+		hg.start[j], hg.rows[j] = sl.lo, row
 	}
 	if spec.track {
 		ap := &auxProv{
 			parent:  append([]int32(nil), res.Parent...),
 			nodeOwn: make([]int32, total),
 			nodeIdx: make([]int32, total),
-			base:    make(map[int32]int32, len(infos)),
-			start:   make(map[int32]int32, len(infos)),
+			base:    make(map[int32]int32, placed),
+			start:   make(map[int32]int32, placed),
 		}
 		ap.nodeOwn[0], ap.nodeIdx[0] = -1, -1
-		for idx := range infos {
-			in := &infos[idx]
-			ap.nodeOwn[in.node], ap.nodeIdx[in.node] = in.h, -1
-			ap.base[in.h], ap.start[in.h] = in.base, in.lo
-			for i := in.lo; i < in.hi; i++ {
-				ap.nodeOwn[in.base+(i-in.lo)] = in.h
-				ap.nodeIdx[in.base+(i-in.lo)] = i
+		for j, sl := range slots {
+			if sl.node < 0 {
+				continue
+			}
+			h := spec.hubs[j]
+			ap.nodeOwn[sl.node], ap.nodeIdx[sl.node] = h, -1
+			ap.base[h], ap.start[h] = sl.base, sl.lo
+			for i := sl.lo; i < sl.hi; i++ {
+				ap.nodeOwn[sl.base+(i-sl.lo)] = h
+				ap.nodeIdx[sl.base+(i-sl.lo)] = i
 			}
 		}
 		hg.prov = ap
@@ -199,11 +314,16 @@ func solveHubGraph(spec hubSpec, scr *engine.Scratch) *hubGraph {
 // every center c and every edge e among the last Budget(priority(c))
 // edges of the canonical s→c path (the edges "nearest c", the only ones
 // the MTC assembly ever queries — Lemma 18/20), seeded with the §7.1
-// small values.
-func buildSourceCenter(ps *ssrp.PerSource, ctr *Centers, scr *engine.Scratch) *hubGraph {
-	return solveHubGraph(hubSpec{
+// small values. ct is the center family's hub table.
+func buildSourceCenter(ps *ssrp.PerSource, ctr *Centers, ct *hubTable, scr *engine.Scratch) *hubGraph {
+	return solveHubGraph(sourceCenterSpec(ps, ctr, ct), scr)
+}
+
+// sourceCenterSpec describes source ps.S's G_s.
+func sourceCenterSpec(ps *ssrp.PerSource, ctr *Centers, ct *hubTable) hubSpec {
+	return hubSpec{
 		g: ps.Sh.G, anc: ps.AncS,
-		hubs: ctr.List, pos: ctr.index, hubTree: ctr.Tree, hubAnc: ctr.Anc,
+		hubs: ctr.List, pos: ctr.index, table: ct, hubTree: ctr.Tree,
 		window: func(c, l int32) (int32, int32) {
 			return max(0, l-ctr.Budget(ctr.Priority(c))), l
 		},
@@ -212,7 +332,7 @@ func buildSourceCenter(ps *ssrp.PerSource, ctr *Centers, scr *engine.Scratch) *h
 			return w, w < rp.Inf
 		},
 		track: ps.TrackPaths,
-	}, scr)
+	}
 }
 
 // dist returns d(x, h, e) for a graph edge e: 0 at the root, the

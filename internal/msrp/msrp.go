@@ -200,6 +200,9 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 	for k := 0; k <= ctr.Levels.MaxK; k++ {
 		stats.CenterLevelSizes = append(stats.CenterLevelSizes, ctr.Levels.Size(k))
 	}
+	// The centers' hub table serves every source's G_s; it is a local,
+	// dropped when the solve returns.
+	ct := newHubTable(g.NumVertices(), ctr.List, ctr.Tree, ctr.Anc)
 
 	// Per-source builds (trees, §7.1 graphs, §8.1 graphs) and §8.2.1
 	// seed-shard enumeration. A source's shard depends only on that
@@ -225,7 +228,7 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 		ps.TrackPaths = tracksPaths(p)
 		ps.BuildSmallNearScratch(sc)
 		perSrc[i] = ps
-		scs[i] = buildSourceCenter(ps, ctr, sc)
+		scs[i] = buildSourceCenter(ps, ctr, ct, sc)
 		buildNanos.Add(time.Since(start).Nanoseconds())
 		maxInto(&peakSeedPathBytes, liveSeedPathBytes.Add(ps.Small.PathStateBytes()))
 	}

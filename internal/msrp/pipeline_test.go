@@ -124,12 +124,13 @@ func solveBarrier(t *testing.T, g *graph.Graph, sources []int32, par int) []*rp.
 		t.Fatal(err)
 	}
 	ctr := newCenters(sh, sh.DeriveRNG())
+	ct := newHubTable(g.NumVertices(), ctr.List, ctr.Tree, ctr.Anc)
 	perSrc := make([]*ssrp.PerSource, len(sources))
 	scs := make([]*hubGraph, len(sources))
 	sh.Pool.RunScratch(len(sources), func(i int, sc *engine.Scratch) {
 		perSrc[i] = sh.NewPerSource(sources[i])
 		perSrc[i].BuildSmallNearScratch(sc)
-		scs[i] = buildSourceCenter(perSrc[i], ctr, sc)
+		scs[i] = buildSourceCenter(perSrc[i], ctr, ct, sc)
 	})
 	seed, _, err := buildSeedTable(context.Background(), sh, perSrc, ctr)
 	if err != nil {

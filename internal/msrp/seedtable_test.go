@@ -74,27 +74,50 @@ func TestSeedTableSequentialVsSharded(t *testing.T) {
 	}
 }
 
-// TestSeedEstimateCoversActual sanity-checks the presizing estimate:
-// it must dominate the real per-source entry counts on the seed-heavy
-// family (otherwise shards pay growth rehashes again).
+// TestSeedEstimateCoversActual checks the presizing bound on the
+// seed-heavy family and on E8's n=300 graph: it must dominate the real
+// per-source entry counts (otherwise shards pay growth rehashes again)
+// and stay within 2× of the entries actually enumerated (an estimate
+// 36× too large once allocated 14 MB of cuckoo slots per solve).
 func TestSeedEstimateCoversActual(t *testing.T) {
-	g := graph.PathStarMix(xrand.New(10), 100, 30, 10)
-	sources := []int32{99, 100}
-	p := testParams(43)
-	sh, err := ssrp.NewShared(g, sources, p)
-	if err != nil {
-		t.Fatal(err)
+	rows := []struct {
+		name    string
+		g       *graph.Graph
+		sources []int32
+		p       Params
+	}{
+		{"path-star-mix", graph.PathStarMix(xrand.New(10), 100, 30, 10), []int32{99, 100}, testParams(43)},
+		{"random-300", graph.RandomConnected(xrand.New(300), 300, 1200), []int32{0, 75, 150, 225}, DefaultParams()},
 	}
-	ctr := newCenters(sh, sh.DeriveRNG())
-	for _, s := range sources {
-		ps := sh.NewPerSource(s)
-		ps.BuildSmallNear()
-		shard := buildSeedShard(ps, ctr, engineScratch())
-		if est := estimateSeedEntries(ps, ctr); shard.Len() > est {
-			t.Errorf("source %d: estimate %d below actual %d entries", s, est, shard.Len())
-		}
-		if shard.Rehashes() != 0 {
-			t.Errorf("source %d: shard paid %d rehashes", s, shard.Rehashes())
-		}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			sh, err := ssrp.NewShared(row.g, row.sources, row.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctr := newCenters(sh, sh.DeriveRNG())
+			var estimates, entries int
+			for _, s := range row.sources {
+				ps := sh.NewPerSource(s)
+				ps.BuildSmallNear()
+				shard := buildSeedShard(ps, ctr, engineScratch())
+				est := estimateSeedEntries(ps)
+				if shard.Len() > est {
+					t.Errorf("source %d: estimate %d below actual %d entries", s, est, shard.Len())
+				}
+				if shard.Rehashes() != 0 {
+					t.Errorf("source %d: shard paid %d rehashes", s, shard.Rehashes())
+				}
+				estimates += est
+				entries += shard.Len()
+			}
+			if entries == 0 {
+				t.Fatal("no seed entries enumerated")
+			}
+			if estimates > 2*entries {
+				t.Errorf("estimates sum to %d for %d entries, more than 2× too large", estimates, entries)
+			}
+			t.Logf("estimates %d, entries %d", estimates, entries)
+		})
 	}
 }

@@ -105,17 +105,11 @@ func NewShared(g *graph.Graph, sources []int32, p Params) (*Shared, error) {
 
 // BuildAncestries constructs one ancestry index per root, sharded
 // across the pool (roots are independent, each O(n)). Shared here and
-// by the §8 center family. Like the trees (bfs.NewForest), the
-// timestamps live in two slabs in root order at a cache-line-padded
-// stride, independent of the schedule.
+// by the §8 center family.
 func BuildAncestries(g *graph.Graph, roots []int32, trees map[int32]*bfs.Tree, pool *engine.Pool) map[int32]*lca.Ancestry {
-	n := g.NumVertices()
-	stride := (n + 15) &^ 15
-	tin, tout := make([]int32, len(roots)*stride), make([]int32, len(roots)*stride)
 	built := make([]*lca.Ancestry, len(roots))
 	pool.Run(len(roots), func(i int) {
-		lo, hi := i*stride, i*stride+n
-		built[i] = lca.NewAncestryIn(g, trees[roots[i]], tin[lo:hi:hi], tout[lo:hi:hi])
+		built[i] = lca.NewAncestry(g, trees[roots[i]])
 	})
 	anc := make(map[int32]*lca.Ancestry, len(roots))
 	for i, r := range roots {

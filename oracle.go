@@ -540,64 +540,82 @@ func (o *Oracle) QueryBatchContext(ctx context.Context, queries []Query) ([]Answ
 	o.batchQueries.Add(int64(len(queries)))
 	answers := make([]Answer, len(queries))
 
-	// Group query indices by source, keeping first-seen order, and note
-	// which sources need provenance present (a path query against a
-	// budget-stripped source rebuilds it).
-	bySource := make(map[int][]int)
-	needPaths := make(map[int]bool)
-	var order []int
+	// Group the batch by source with a scan, keeping first-seen order:
+	// at[i] is query i's position in srcs (-1 when its source is not an
+	// oracle source). A source needs provenance present when any of its
+	// queries asks for paths (a path query against a budget-stripped
+	// source rebuilds it).
+	type batchSource struct {
+		s     int
+		paths bool
+		res   *Result
+		err   error
+	}
+	srcs := make([]batchSource, 0, min(len(queries), len(o.sources)))
+	at := make([]int, len(queries))
 	for i, q := range queries {
 		if !o.isSource[q.Source] {
 			answers[i].Err = notSourceError(q.Source)
+			at[i] = -1
 			continue
 		}
-		if _, seen := bySource[q.Source]; !seen {
-			order = append(order, q.Source)
+		k := 0
+		for k < len(srcs) && srcs[k].s != q.Source {
+			k++
 		}
-		bySource[q.Source] = append(bySource[q.Source], i)
-		if q.Paths {
-			needPaths[q.Source] = true
+		if k == len(srcs) {
+			srcs = append(srcs, batchSource{s: q.Source})
+		}
+		srcs[k].paths = srcs[k].paths || q.Paths
+		at[i] = k
+	}
+
+	// Serve cache hits inline, in first-seen order, and fan the batch
+	// out only from its first miss on: each per-source build runs its
+	// landmark stage sequentially (single-level parallelism) on the
+	// oracle's long-lived inner pool, whose free list reuses build
+	// scratch across batches. At Parallelism 1 the fan-out runs in
+	// order too, so the cache sees the batch's sources in first-seen
+	// order either way.
+	hits := 0
+	for hits < len(srcs) {
+		if srcs[hits].res = o.hit(srcs[hits].s, srcs[hits].paths); srcs[hits].res == nil {
+			break
+		}
+		hits++
+	}
+	if rest := srcs[hits:]; len(rest) > 0 {
+		err := o.pool.RunCtx(ctx, len(rest), func(i int) {
+			rest[i].res, rest[i].err = o.result(ctx, rest[i].s, o.seq, rest[i].paths)
+		})
+		if err != nil {
+			o.cancellations.Add(1)
+			return nil, err
 		}
 	}
 
-	// Materialize the batch's sources in parallel. The fan-out is
-	// across sources here, so each per-source build runs its landmark
-	// stage sequentially (single-level parallelism) on the oracle's
-	// long-lived inner pool, whose free list reuses build scratch
-	// across batches.
-	results := make([]*Result, len(order))
-	errs := make([]error, len(order))
-	err := o.pool.RunCtx(ctx, len(order), func(i int) {
-		s := order[i] // validated above
-		results[i], errs[i] = o.result(ctx, s, o.seq, needPaths[s])
-	})
-	if err != nil {
-		o.cancellations.Add(1)
-		return nil, err
-	}
-
-	for i, s := range order {
-		res, serr := results[i], errs[i]
-		for _, qi := range bySource[s] {
-			q := queries[qi]
-			// A rebuild turned away by admission (ErrRebuildSaturated)
-			// still returns the stripped entry: its length items are
-			// answered, its path items carry the error.
-			if serr != nil && q.Paths {
-				answers[qi].Err = serr
-				continue
-			}
-			// One edge resolution serves both the length lookup and the
-			// optional path expansion.
-			idx, err := res.pathEdgeIndex(q.Target, q.U, q.V)
-			if err != nil {
-				answers[qi].Err = err
-				continue
-			}
-			answers[qi].Length = res.res.Len[q.Target][idx]
-			if q.Paths && answers[qi].Length != NoPath {
-				answers[qi].Path, answers[qi].Err = res.ReplacementPath(q.Target, idx)
-			}
+	for i, q := range queries {
+		if at[i] < 0 {
+			continue
+		}
+		src := &srcs[at[i]]
+		// A rebuild turned away by admission (ErrRebuildSaturated)
+		// still returns the stripped entry: its length items are
+		// answered, its path items carry the error.
+		if src.err != nil && q.Paths {
+			answers[i].Err = src.err
+			continue
+		}
+		// One edge resolution serves both the length lookup and the
+		// optional path expansion.
+		idx, err := src.res.pathEdgeIndex(q.Target, q.U, q.V)
+		if err != nil {
+			answers[i].Err = err
+			continue
+		}
+		answers[i].Length = src.res.res.Len[q.Target][idx]
+		if q.Paths && answers[i].Length != NoPath {
+			answers[i].Path, answers[i].Err = src.res.ReplacementPath(q.Target, idx)
 		}
 	}
 	return answers, nil
@@ -779,14 +797,11 @@ func (o *Oracle) result(ctx context.Context, s int, pool *engine.Pool, paths boo
 	}
 	paths = paths && o.opts.TrackPaths
 	o.mu.Lock()
-	e := o.cache[s]
-	if e != nil && (!paths || e.res.ps != nil) {
-		o.touchLocked(e, paths)
-		res := e.res
+	if res := o.hitLocked(s, paths); res != nil {
 		o.mu.Unlock()
-		o.hits.Add(1)
 		return res, nil
 	}
+	e := o.cache[s]
 	if f := o.inflight[s]; f != nil {
 		// Every build on a tracked oracle is tracked and its flight
 		// serves it with provenance, so joining answers paths too.
@@ -859,6 +874,27 @@ func (o *Oracle) result(ctx context.Context, s int, pool *engine.Pool, paths boo
 	o.mu.Unlock()
 	close(f.done)
 	return f.res, nil
+}
+
+// hit returns s's cached Result when it can serve the batch as is (with
+// provenance, if paths asks for it on a tracked oracle), counting the
+// hit and touching the entry; nil otherwise, counting nothing.
+func (o *Oracle) hit(s int, paths bool) *Result {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.hitLocked(s, paths && o.opts.TrackPaths)
+}
+
+// hitLocked is hit for callers that hold o.mu and have already masked
+// paths with Options.TrackPaths.
+func (o *Oracle) hitLocked(s int, paths bool) *Result {
+	e := o.cache[s]
+	if e == nil || (paths && e.res.ps == nil) {
+		return nil
+	}
+	o.touchLocked(e, paths)
+	o.hits.Add(1)
+	return e.res
 }
 
 // build materializes one source against the shared preprocessing: the

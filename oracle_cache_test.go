@@ -180,3 +180,42 @@ func TestProvenanceBudgetStripsByPathRecency(t *testing.T) {
 		t.Fatalf("path query on the stripped source: %d rebuilds, want 1", got)
 	}
 }
+
+// TestAllHitBatchAllocs: a batch whose sources are all cached is
+// answered inline, with no fan-out and no per-source maps. A warmed
+// P = 2 oracle answers an all-hit, length-only batch of 8 queries over
+// 4 sources in at most 5 allocations (grouping through maps and a
+// RunCtx fan-out took 21).
+func TestAllHitBatchAllocs(t *testing.T) {
+	const n = 60
+	g := GenerateRandomConnected(75, n, 180)
+	sources := []int{0, 15, 30, 45}
+	opts := testOptions(76)
+	opts.Parallelism = 2
+	o, err := NewOracle(g, sources, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Warm(); err != nil {
+		t.Fatal(err)
+	}
+	one := batchFor(t, o, sources, n)
+	queries := append(append([]Query(nil), one...), one...)
+	want := o.QueryBatch(queries)
+	for i, a := range want {
+		if a.Err != nil {
+			t.Fatalf("query %d: %v", i, a.Err)
+		}
+	}
+	builds := o.Stats().Builds
+	allocs := testing.AllocsPerRun(100, func() {
+		sameAnswers(t, o.QueryBatch(queries), want, "all-hit batch")
+	})
+	t.Logf("%.1f allocations", allocs)
+	if allocs > 5 {
+		t.Errorf("all-hit batch of %d queries over %d sources: %.1f allocations, want <= 5", len(queries), len(sources), allocs)
+	}
+	if got := o.Stats().Builds; got != builds {
+		t.Errorf("all-hit batches ran %d builds", got-builds)
+	}
+}
