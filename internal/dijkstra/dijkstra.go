@@ -149,35 +149,42 @@ type Result struct {
 
 // Run executes Dijkstra from src and returns distances and parents.
 func (g *Graph) Run(src int32) *Result {
+	var h pqueue.Heap
+	h.Grow(g.n / 4)
 	return g.run(src, &Result{
 		Dist:   make([]int64, g.n),
 		Parent: make([]int32, g.n),
-	})
+	}, &h)
 }
+
+// heapKey is the scratch attachment key of the per-worker heap.
+const heapKey = "dijkstra.heap"
 
 // RunScratch is Run with the Dist/Parent arrays carved from an engine
 // scratch — for callers that copy what they need out of the Result
 // before the scratch's next Reset (the §8.1/§8.2.2 stages, which
-// extract a handful of rows from a Θ(nodes) result). A nil scratch
-// falls back to Run.
+// extract a handful of rows from a Θ(nodes) result) — and the heap
+// kept per worker across runs. That heap only grows by Push, to the
+// largest frontier a worker has seen, rather than being presized to
+// the node count. A nil scratch falls back to Run.
 func (g *Graph) RunScratch(src int32, sc *engine.Scratch) *Result {
 	if sc == nil {
 		return g.Run(src)
 	}
+	h := sc.Attach(heapKey, func() any { return new(pqueue.Heap) }).(*pqueue.Heap)
+	h.Reset()
 	return g.run(src, &Result{
 		Dist:   sc.Int64(g.n),
 		Parent: sc.Int32(g.n),
-	})
+	}, h)
 }
 
-func (g *Graph) run(src int32, res *Result) *Result {
+func (g *Graph) run(src int32, res *Result, h *pqueue.Heap) *Result {
 	for i := range res.Dist {
 		res.Dist[i] = Inf
 		res.Parent[i] = -1
 	}
 	res.Dist[src] = 0
-	var h pqueue.Heap
-	h.Grow(g.n / 4)
 	h.Push(0, src)
 	for h.Len() > 0 {
 		it := h.Pop()

@@ -137,13 +137,16 @@ func sweepLandmarks(ps *ssrp.PerSource, maxSweeps int) (sweeps int, improved int
 		}
 		return order[a] < order[b]
 	})
+	// The view aliases LenSR's rows, so each sweep reads the values the
+	// previous targets lowered in place.
+	view := ps.NewCombineView()
 	scratch := make([]int32, 0, 64)
 	for sweeps = 0; sweeps < maxSweeps; sweeps++ {
 		changed := int64(0)
 		for _, r := range order {
 			row := ps.LenSR[r]
 			scratch = append(scratch[:0], row...)
-			ps.CombineTarget(r, scratch, nil)
+			view.CombineTarget(r, scratch, nil)
 			for i := range row {
 				if scratch[i] < row[i] {
 					row[i] = scratch[i]

@@ -272,13 +272,22 @@ func finishHubGraph(spec hubSpec, slots []hubSlot, bld *dijkstra.Builder, scr *e
 	}
 	res := bld.FinalizeScratch(scr).RunScratch(0, scr)
 
-	placed := 0
+	// One backing array serves every row: one allocation per graph
+	// rather than one per placed hub.
+	placed, cells := 0, int32(0)
+	for _, sl := range slots {
+		if sl.node >= 0 {
+			placed++
+			cells += sl.hi - sl.lo
+		}
+	}
+	backing := make([]int32, cells)
 	for j, sl := range slots {
 		if sl.node < 0 {
 			continue
 		}
-		placed++
-		row := make([]int32, sl.hi-sl.lo)
+		row := backing[: sl.hi-sl.lo : sl.hi-sl.lo]
+		backing = backing[sl.hi-sl.lo:]
 		for off := range row {
 			row[off] = int32(min(res.Dist[sl.base+int32(off)], int64(rp.Inf)))
 		}

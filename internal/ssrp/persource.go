@@ -1,6 +1,8 @@
 package ssrp
 
 import (
+	"math"
+
 	"msrp/internal/bfs"
 	"msrp/internal/classic"
 	"msrp/internal/engine"
@@ -201,13 +203,19 @@ func (ps *PerSource) DSR(r int32, i int, e int32) int32 { return ps.dSR(r, i, e)
 // free direct fill for landmark targets) and returns the full result.
 func (ps *PerSource) Combine(stats *Stats) *rp.Result {
 	sh := ps.Sh
-	g := sh.G
 	res := rp.NewResult(ps.Ts)
+	var prov []provEntry
 	if ps.TrackPaths {
-		ps.prov = make([][]provEntry, g.NumVertices())
+		// One backing array, carved per target like res.Len.
+		prov = make([]provEntry, res.NumQueries())
+		ps.prov = make([][]provEntry, len(res.Len))
 	}
-
-	for t := int32(0); t < int32(g.NumVertices()); t++ {
+	v := ps.NewCombineView()
+	next := 0 // List position of the first landmark ≥ t
+	for t := int32(0); t < int32(len(res.Len)); t++ {
+		for next < len(sh.List) && sh.List[next] < t {
+			next++
+		}
 		l := ps.Ts.Dist[t]
 		if t == ps.S || l <= 0 {
 			continue
@@ -217,26 +225,78 @@ func (ps *PerSource) Combine(stats *Stats) *rp.Result {
 			stats.Queries += int64(l)
 		}
 		var provRow []provEntry
-		if ps.TrackPaths {
-			provRow = make([]provEntry, l)
+		if prov != nil {
+			provRow, prov = prov[:l:l], prov[l:]
 			ps.prov[t] = provRow
 		}
 
 		// Landmark targets come for free: LenSR already holds every
 		// edge of their canonical path (exactly, in the σ=1 case).
-		if direct := ps.LenSR[t]; direct != nil {
-			for i := range row {
-				if direct[i] < row[i] {
-					row[i] = direct[i]
+		if next < len(sh.List) && sh.List[next] == t {
+			for i, d := range v.lms[next].row {
+				if d < row[i] {
+					row[i] = d
 					if provRow != nil {
 						provRow[i] = provEntry{kind: provDirect, r: t}
 					}
 				}
 			}
 		}
-		ps.combineTarget(t, row, provRow, stats)
+		v.combine(t, row, provRow, stats)
 	}
 	return res
+}
+
+// CombineView is the dense, transient view the per-target candidate
+// scan reads: one entry per landmark, in List order, holding what the
+// scan needs of it, and a cell buffer for the target's canonical path.
+// The scan therefore reads no map and resolves no edge endpoint. Build
+// one per pass over the targets: Combine builds its own, and the
+// multi-source pipeline's fixpoint sweeps build one per sweep call.
+// Entries alias LenSR's rows, so a row lowered in place between
+// CombineTarget calls is read at its new value by the later ones.
+type CombineView struct {
+	ps    *PerSource
+	lms   []viewLandmark
+	cells []scanCell
+}
+
+// viewLandmark is landmark r's entry: T_r (Dist, ParentEdge) and its
+// stamps, LenSR[r], |sr| and r's stamps in T_s. A landmark unreachable
+// from s is unreachable from every target, so the scan skips it on
+// |rt| alone.
+type viewLandmark struct {
+	tree      *bfs.Tree
+	anc       *lca.Ancestry
+	row       []int32 // nil when r is s or unreachable from s
+	sr        int32
+	tin, tout int32
+}
+
+// scanCell is position i of the target's canonical path: e_i joins x_i
+// (lo) to x_{i+1} (hi, its child in T_s), and hi's T_s stamps tell
+// whether e_i lies on a landmark's canonical s→r path.
+type scanCell struct {
+	e, lo, hi int32
+	tin, tout int32
+}
+
+// NewCombineView builds the candidate scan's view over the current
+// LenSR rows.
+func (ps *PerSource) NewCombineView() *CombineView {
+	sh := ps.Sh
+	v := &CombineView{ps: ps, lms: make([]viewLandmark, len(sh.List))}
+	for j, r := range sh.List {
+		tin, tout := ps.AncS.Stamps(r)
+		v.lms[j] = viewLandmark{
+			tree: sh.Tree[r], anc: sh.Anc[r], row: ps.LenSR[r],
+			sr: ps.Ts.Dist[r], tin: tin, tout: tout,
+		}
+	}
+	// BFS order ends at the deepest vertex, which bounds every path.
+	ts := ps.Ts
+	v.cells = make([]scanCell, ts.Dist[ts.Order[len(ts.Order)-1]])
+	return v
 }
 
 // CombineTarget lowers row[i] (the current bound on d(s,t,e_i)) using
@@ -244,92 +304,107 @@ func (ps *PerSource) Combine(stats *Stats) *rp.Result {
 // for near edges, Algorithm 3 for far edges. The row must have
 // Ts.Dist[t] entries. Exposed separately because the MSRP pipeline
 // applies it to landmark targets as a fixpoint sweep over LenSR.
-func (ps *PerSource) CombineTarget(t int32, row []int32, stats *Stats) {
-	ps.combineTarget(t, row, nil, stats)
+func (v *CombineView) CombineTarget(t int32, row []int32, stats *Stats) {
+	v.combine(t, row, nil, stats)
 }
 
-func (ps *PerSource) combineTarget(t int32, row []int32, provRow []provEntry, stats *Stats) {
-	sh := ps.Sh
-	level0 := sh.Landmarks.Level(0)
-	l := ps.Ts.Dist[t]
-	x := t // x = x_{i+1}: child endpoint of e_i during the walk
+// combine walks t's canonical path once into the cell buffer, then
+// scans it band by band. farBand never decreases with distance from t,
+// so each band's edges form one run of positions.
+func (v *CombineView) combine(t int32, row []int32, provRow []provEntry, stats *Stats) {
+	ps := v.ps
+	sh, ts := ps.Sh, ps.Ts
+	l := int(ts.Dist[t])
+	x := t
 	for i := l - 1; i >= 0; i-- {
-		e := ps.Ts.ParentEdge[x]
-		distFromT := l - i
-		if k := sh.farBand(distFromT); k < 0 {
-			ps.combineNear(t, int(i), e, row, provRow, level0, stats)
-		} else {
-			ps.combineFar(t, int(i), e, k, row, provRow, stats)
+		p := ts.Parent[x]
+		tin, tout := ps.AncS.Stamps(x)
+		v.cells[i] = scanCell{e: ts.ParentEdge[x], lo: p, hi: x, tin: tin, tout: tout}
+		x = p
+	}
+	// Position i lies at distance l−i from t; runs go outward from t.
+	for end := l; end > 0; {
+		k := sh.farBand(int32(l - end + 1))
+		start := end - 1
+		for start > 0 && sh.farBand(int32(l-start+1)) == k {
+			start--
 		}
-		x = ps.Ts.Parent[x]
+		v.scanBand(t, k, start, end, row, provRow, stats)
+		end = start
 	}
 }
 
-// combineNear handles a near edge: the §7.1 small value plus
-// Algorithm 4's scan of L_0 for large replacement paths.
-func (ps *PerSource) combineNear(t int32, i int, e int32, row []int32, provRow []provEntry, level0 []int32, stats *Stats) {
-	if v := ps.Small.Value(t, i); v < row[i] {
-		row[i] = v
-		if provRow != nil {
-			provRow[i] = provEntry{kind: provSmall}
-		}
-	}
+// scanBand lowers row[i] for the run of positions [start, end) of band
+// k: near (k < 0) positions take their §7.1 small value, then every
+// band takes d(s,r,e_i) + |rt| over its level's landmarks r, landmark
+// by landmark. A position still sees its small value first and the
+// landmarks in level order under strict <, so rows, provenance and the
+// scan counters equal an edge-by-edge scan's.
+func (v *CombineView) scanBand(t int32, k, start, end int, row []int32, provRow []provEntry, stats *Stats) {
+	ps := v.ps
 	sh := ps.Sh
-	for _, r := range level0 {
-		if stats != nil {
-			stats.NearLargeScans++
-		}
-		tr := sh.Tree[r]
-		dt := tr.Dist[t]
-		if dt < 0 {
-			continue
-		}
-		// Lemma 13 guarantees a useful r has e off its canonical path;
-		// checking it also keeps the candidate sound unconditionally.
-		if sh.Anc[r].EdgeOnRootPath(sh.G, e, t) {
-			continue
-		}
-		d := ps.dSR(r, i, e)
-		if d >= inf {
-			continue
-		}
-		if cand := d + dt; cand < row[i] {
-			row[i] = cand
-			if provRow != nil {
-				provRow[i] = provEntry{kind: provVia, r: r}
+	thr := math.Inf(1)
+	if k < 0 {
+		for i := start; i < end; i++ {
+			if w := ps.Small.Value(t, i); w < row[i] {
+				row[i] = w
+				if provRow != nil {
+					provRow[i] = provEntry{kind: provSmall}
+				}
 			}
 		}
+	} else {
+		thr = sh.farThreshold(k)
 	}
-}
-
-// combineFar handles a k-far edge via Algorithm 3: scan L_k for
-// landmarks within the band's distance threshold of t.
-func (ps *PerSource) combineFar(t int32, i int, e int32, k int, row []int32, provRow []provEntry, stats *Stats) {
-	sh := ps.Sh
-	thr := sh.farThreshold(k)
-	for _, r := range sh.landmarksForBand(k) {
-		if stats != nil {
-			stats.FarScans++
+	level := sh.levelPos[sh.bandLevel(k)]
+	if stats != nil {
+		scans := int64(end-start) * int64(len(level))
+		if k < 0 {
+			stats.NearLargeScans += scans
+		} else {
+			stats.FarScans += scans
 		}
-		tr := sh.Tree[r]
-		dt := tr.Dist[t]
+	}
+	cells := v.cells[start:end]
+	for _, j := range level {
+		lm := &v.lms[j]
+		dt := lm.tree.Dist[t]
 		if dt < 0 || float64(dt) > thr {
 			continue
 		}
-		// The distance argument (d(e,t) ≥ 2·thr) already implies no
-		// shortest r→t path uses e; the explicit check makes soundness
-		// independent of the floating-point band arithmetic.
-		if sh.Anc[r].EdgeOnRootPath(sh.G, e, t) {
-			continue
-		}
-		d := ps.dSR(r, i, e)
-		if d >= inf {
-			continue
-		}
-		if cand := d + dt; cand < row[i] {
-			row[i] = cand
-			if provRow != nil {
-				provRow[i] = provEntry{kind: provVia, r: r}
+		pe, anc, lrow := lm.tree.ParentEdge, lm.anc, lm.row
+		ttin, ttout := anc.Stamps(t)
+		for ci := range cells {
+			c := &cells[ci]
+			// Skip e_i when it lies on the canonical r→t path: its child
+			// endpoint in T_r is then an ancestor of t. For near edges
+			// Lemma 13 says a useful r avoids it; for far ones the band's
+			// distance argument already does, and the check keeps the
+			// candidate sound independently of the float arithmetic.
+			ch := c.hi
+			if pe[ch] != c.e {
+				ch = c.lo
+			}
+			if pe[ch] == c.e {
+				if tin, tout := anc.Stamps(ch); tin <= ttin && ttout <= tout {
+					continue
+				}
+			}
+			// d(s,r,e_i): |sr| when e_i is off the canonical s→r path
+			// (0 for r = s), else LenSR[r][i].
+			i := start + ci
+			d := lm.sr
+			if c.tin <= lm.tin && lm.tout <= c.tout {
+				if i >= len(lrow) || lrow[i] >= inf {
+					continue
+				}
+				d = lrow[i]
+			}
+			if cand := d + dt; cand < row[i] {
+				row[i] = cand
+				if provRow != nil {
+					provRow[i] = provEntry{kind: provVia, r: sh.List[j]}
+				}
 			}
 		}
 	}

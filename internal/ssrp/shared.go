@@ -30,6 +30,10 @@ type Shared struct {
 	// Landmarks is the leveled family L_0 … L_K; List its sorted union.
 	Landmarks *sample.Levels
 	List      []int32
+	// levelPos[k] holds the List positions of L_k's members, in L_k's
+	// order: the combine scan reads its per-call landmark view by List
+	// position.
+	levelPos [][]int32
 
 	// Tree and Anc index landmark BFS trees/ancestries by vertex id.
 	Tree map[int32]*bfs.Tree
@@ -96,6 +100,19 @@ func NewShared(g *graph.Graph, sources []int32, p Params) (*Shared, error) {
 	sh.Landmarks = sample.New(sh.rng.Split(), n, sigma, p.SampleBoost, sh.Sources)
 	sh.derived = *sh.rng.Split()
 	sh.List = sh.Landmarks.Union()
+	sh.levelPos = make([][]int32, sh.Landmarks.MaxK+1)
+	for k := range sh.levelPos {
+		level := sh.Landmarks.Level(k)
+		pos := make([]int32, len(level))
+		j := 0
+		for i, r := range level { // both lists are sorted
+			for sh.List[j] != r {
+				j++
+			}
+			pos[i] = int32(j)
+		}
+		sh.levelPos[k] = pos
+	}
 
 	forest := bfs.NewForest(g, sh.List, sh.Pool)
 	sh.Tree = forest.Trees
@@ -159,13 +176,14 @@ func (sh *Shared) farThreshold(k int) float64 {
 	return sh.X * float64(int64(1)<<uint(k))
 }
 
-// landmarksForBand returns the landmark set scanned for far band k:
-// L_k normally, the dense L_0 under the FlatLandmarks ablation.
-func (sh *Shared) landmarksForBand(k int) []int32 {
-	if sh.Params.FlatLandmarks {
-		return sh.Landmarks.Level(0)
+// bandLevel returns the landmark level scanned for band k: L_0 for
+// near edges (k < 0, Algorithm 4), L_k for far band k (Algorithm 3),
+// or the dense L_0 under the FlatLandmarks ablation.
+func (sh *Shared) bandLevel(k int) int {
+	if k < 0 || sh.Params.FlatLandmarks {
+		return 0
 	}
-	return sh.Landmarks.Level(k)
+	return k
 }
 
 func intCeil(x float64) int {
