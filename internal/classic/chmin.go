@@ -1,10 +1,6 @@
 package classic
 
-import (
-	"math"
-
-	"msrp/internal/engine"
-)
+import "math"
 
 // chminTree is a segment tree supporting range "chmin" updates
 // (value[i] = min(value[i], x) for i in [lo, hi]) and point queries.
@@ -24,15 +20,10 @@ type chminTree struct {
 
 const chminInf = int64(math.MaxInt64)
 
+// newChminTree returns a tree over n leaves, every value at chminInf.
+// The payload array needs no clearing: queries read a payload only
+// where a chmin already landed.
 func newChminTree(n int) *chminTree {
-	return newChminTreeScratch(n, &engine.Scratch{})
-}
-
-// newChminTreeScratch backs the tree's arrays with an engine scratch so
-// repeated per-landmark runs reuse one allocation. The tree is valid
-// only until the scratch is reset; the payload array needs no clearing
-// because queries read a payload only where a chmin already landed.
-func newChminTreeScratch(n int, sc *engine.Scratch) *chminTree {
 	size := 1
 	for size < n {
 		size *= 2
@@ -42,8 +33,8 @@ func newChminTreeScratch(n int, sc *engine.Scratch) *chminTree {
 	}
 	t := &chminTree{
 		size:    size,
-		min:     sc.Int64(2 * size),
-		payload: sc.Int64(2 * size),
+		min:     make([]int64, 2*size),
+		payload: make([]int64, 2*size),
 	}
 	for i := range t.min {
 		t.min[i] = chminInf

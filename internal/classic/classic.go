@@ -36,11 +36,32 @@
 // lazy chmin segment tree with point queries — O((m+n) log n) total.
 // Path edges are skipped: e_j's only interval would be [j, j], i.e.
 // serving as a replacement for itself.
+//
+// # Many targets in one pass
+//
+// Rows answers Pair for every target of one source at once, which is
+// what the single-source solver needs for its landmarks. Seen from the
+// tree edge e = (p, c) of T_s instead of from a target, the rule above
+// says: every target r under c gets the minimum of d(s,u) + 1 + d(v,r)
+// over edges (u, v) ≠ e with v under c and u outside. A non-tree edge
+// {a, b} lies across exactly the cuts (Parent[c], c) for c strictly
+// below lca(a, b), so walking the deeper endpoint up to the lca visits
+// each crossing once. Slotting the targets in T_s preorder makes the
+// targets under c one run of slots, so a crossing is one loop over a
+// contiguous run: no segment tree, and no O(m) scan per target. The
+// candidate set is Pair's, so every length is identical.
+//
+// Rows costs O(n + m + Σ_{oriented edges} Σ_{cuts crossed} (1 +
+// targets under c)) plus the size of the rows it returns, against
+// O((m + n) log n) per target for Pair. On the shallow trees of random
+// graphs the walks are short and the pass is several times cheaper
+// than one Pair per target. Deep trees with long cross edges make each
+// edge cross many cuts; with few targets the walks alone can then cost
+// more than the per-target runs would.
 package classic
 
 import (
 	"msrp/internal/bfs"
-	"msrp/internal/engine"
 	"msrp/internal/graph"
 	"msrp/internal/rp"
 )
@@ -80,42 +101,17 @@ func Pair(g *graph.Graph, ts, tt *bfs.Tree, t int32) []int32 {
 	return lengths
 }
 
-// PairScratch is Pair with its transient O(n + m) working state carved
-// from the given engine scratch instead of freshly allocated — the form
-// used by the per-landmark fan-out of ssrp.PerSource and the Oracle's
-// lazy source builds, where Pair runs once per landmark.
-func PairScratch(g *graph.Graph, ts, tt *bfs.Tree, t int32, sc *engine.Scratch) []int32 {
-	lengths, _ := pairWitness(g, ts, tt, t, sc)
-	return lengths
-}
-
 // PairWitness is Pair plus, for every path edge, the crossing-edge
 // witness of the winning replacement path (V = -1 where none exists).
 func PairWitness(g *graph.Graph, ts, tt *bfs.Tree, t int32) ([]int32, []Witness) {
-	return pairWitness(g, ts, tt, t, nil)
-}
-
-// PairWitnessScratch is PairWitness with the transient working state
-// carved from an engine scratch — the tracked counterpart of
-// PairScratch, used by the per-landmark fan-out when path provenance is
-// recorded. The returned lengths and witnesses are heap-allocated and
-// safe to retain.
-func PairWitnessScratch(g *graph.Graph, ts, tt *bfs.Tree, t int32, sc *engine.Scratch) ([]int32, []Witness) {
-	return pairWitness(g, ts, tt, t, sc)
-}
-
-func pairWitness(g *graph.Graph, ts, tt *bfs.Tree, t int32, sc *engine.Scratch) ([]int32, []Witness) {
 	if tt.Root != t {
 		panic("classic: tt is not the BFS tree of t")
 	}
 	if !ts.Reachable(t) || ts.Root == t {
 		return nil, nil
 	}
-	if sc == nil {
-		sc = &engine.Scratch{}
-	}
 	L := int(ts.Dist[t])
-	out := make([]int32, L) // retained by callers; never scratch-backed
+	out := make([]int32, L)
 	for i := range out {
 		out[i] = rp.Inf
 	}
@@ -124,14 +120,12 @@ func pairWitness(g *graph.Graph, ts, tt *bfs.Tree, t int32, sc *engine.Scratch) 
 	// path; -1 for unreachable vertices. One top-down pass over the BFS
 	// order (parents precede children).
 	n := g.NumVertices()
-	branch := sc.Int32(n)
+	branch := make([]int32, n)
 	for i := range branch {
 		branch[i] = -1
 	}
-	onPath := sc.Bool(n)
-	clear(onPath)
-	pathEdge := sc.Bool(g.NumEdges())
-	clear(pathEdge)
+	onPath := make([]bool, n)
+	pathEdge := make([]bool, g.NumEdges())
 	for x := t; x != ts.Root; x = ts.Parent[x] {
 		onPath[x] = true
 		pathEdge[ts.ParentEdge[x]] = true
@@ -145,7 +139,7 @@ func pairWitness(g *graph.Graph, ts, tt *bfs.Tree, t int32, sc *engine.Scratch) 
 		}
 	}
 
-	seg := newChminTreeScratch(L, sc)
+	seg := newChminTree(L)
 	addCandidates := func(u, v int32) {
 		// Register d(s,u) + 1 + d(v,t) for every i with u ∈ R_i and
 		// v ∈ D_i, i.e. i ∈ [branch(u), branch(v)−1]. The payload packs

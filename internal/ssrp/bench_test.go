@@ -3,14 +3,13 @@ package ssrp
 import (
 	"testing"
 
-	"msrp/internal/engine"
 	"msrp/internal/graph"
 	"msrp/internal/xrand"
 )
 
 // BenchmarkLazyBuild times one tracked per-source build the way the
 // Oracle materializes an uncached source: the §7.1 graph, its witness
-// snapshot, the classic per-landmark runs on a one-worker pool and the
+// snapshot, the landmark rows (one classic.Rows pass) and the
 // combine. The shape is the serve-churn workload's: RandomConnected(200,
 // 800), σ = 8, paper constants. Each iteration builds the next source.
 func BenchmarkLazyBuild(b *testing.B) {
@@ -26,14 +25,13 @@ func BenchmarkLazyBuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	seq := engine.New(1)
 	b.ReportAllocs()
 	for i := 0; b.Loop(); i++ {
 		ps := sh.NewPerSource(sources[i%sigma])
 		ps.TrackPaths = true
 		ps.BuildSmallNear()
 		ps.Snap = ps.Small.SnapshotProvenance()
-		ps.ComputeLenSRClassicPool(seq)
+		ps.ComputeLenSRClassic()
 		ps.Combine(nil)
 	}
 }

@@ -27,10 +27,11 @@ type Params struct {
 
 	// Parallelism bounds the worker goroutines of the execution engine
 	// (internal/engine) across every parallel stage: landmark/center BFS
-	// forests, the per-landmark classical runs, and the per-source and
-	// per-center MSRP pipeline stages. 1 means sequential; values <= 0
-	// select GOMAXPROCS. Output is identical for every value (the engine
-	// only shards index-owned work).
+	// forests and ancestries, and the per-source and per-center MSRP
+	// pipeline stages. The landmark rows of a single-source build are
+	// one sequential pass and do not shard. 1 means sequential; values
+	// <= 0 select GOMAXPROCS. Output is identical for every value (the
+	// engine only shards index-owned work).
 	Parallelism int
 
 	// ExhaustiveNear forces every edge to be "near" and every

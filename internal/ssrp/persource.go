@@ -2,6 +2,7 @@ package ssrp
 
 import (
 	"math"
+	"slices"
 
 	"msrp/internal/bfs"
 	"msrp/internal/classic"
@@ -116,51 +117,25 @@ func (ps *PerSource) BuildSmallNearScratch(sc *engine.Scratch) {
 	ps.Small = buildSmallNear(ps, sc)
 }
 
-// ComputeLenSRClassic fills LenSR by running the classical single-pair
-// replacement path algorithm from s to every landmark — the paper's
-// single-source strategy (§3): Õ(m+n) per landmark, Õ(m√n) total.
-// Landmarks are independent, so the runs shard across the instance
-// pool, each worker reusing one scratch for the per-landmark O(n+m)
-// working state. With TrackPaths set each run also stores the
-// crossing-edge witnesses (same lengths, same sharding).
+// ComputeLenSRClassic fills LenSR with the classical single-pair
+// replacement path lengths from s to every landmark — the paper's
+// single-source strategy (§3) — in one pass over T_s
+// (classic.Rows) rather than one run per landmark. With TrackPaths set
+// it also stores the crossing-edge witnesses.
 func (ps *PerSource) ComputeLenSRClassic() {
-	ps.ComputeLenSRClassicPool(ps.Sh.Pool)
-}
-
-// ComputeLenSRClassicPool is ComputeLenSRClassic on an explicit engine
-// pool. Callers that already fan out one level up — the Oracle's batch
-// builder runs whole sources in parallel — pass a sequential pool here
-// to keep the parallelism single-level.
-func (ps *PerSource) ComputeLenSRClassicPool(pool *engine.Pool) {
 	sh := ps.Sh
-	rows := make([][]int32, len(sh.List))
-	var wits [][]classic.Witness
-	if ps.TrackPaths {
-		wits = make([][]classic.Witness, len(sh.List))
-	}
-	pool.RunScratch(len(sh.List), func(i int, sc *engine.Scratch) {
-		r := sh.List[i]
-		if r == ps.S || !ps.Ts.Reachable(r) {
-			return
-		}
-		if ps.TrackPaths {
-			rows[i], wits[i] = classic.PairWitnessScratch(sh.G, ps.Ts, sh.Tree[r], r, sc)
-		} else {
-			rows[i] = classic.PairScratch(sh.G, ps.Ts, sh.Tree[r], r, sc)
-		}
-	})
 	ps.LenSR = make(map[int32][]int32, len(sh.List))
 	if ps.TrackPaths {
 		ps.witness = make(map[int32][]classic.Witness, len(sh.List))
 	}
-	for i, r := range sh.List {
-		if rows[i] != nil {
-			ps.LenSR[r] = rows[i]
-			if wits != nil {
-				ps.witness[r] = wits[i]
-			}
-		}
-	}
+	classic.Rows(sh.G, ps.Ts, sh.List, sh.Tree, ps.LenSR, ps.witness)
+}
+
+// ComputeLenSRClassicPool is ComputeLenSRClassic. The pool no longer
+// shards anything: the landmark rows come from one sequential pass.
+// It stays for callers that time this step on a pool of their own.
+func (ps *PerSource) ComputeLenSRClassicPool(*engine.Pool) {
+	ps.ComputeLenSRClassic()
 }
 
 // SetLenSR installs externally computed landmark replacement lengths
@@ -340,6 +315,12 @@ func (v *CombineView) combine(t int32, row []int32, provRow []provEntry, stats *
 // by landmark. A position still sees its small value first and the
 // landmarks in level order under strict <, so rows, provenance and the
 // scan counters equal an edge-by-edge scan's.
+//
+// A landmark is skipped outright when |sr| + |rt| is at least the
+// run's largest current value. That bound is exact: every LenSR entry
+// is the length of some s→r walk, hence ≥ |sr|, so every candidate r
+// offers is ≥ |sr| + |rt| and none could win under strict <. The skip
+// changes no row, provenance entry or counter.
 func (v *CombineView) scanBand(t int32, k, start, end int, row []int32, provRow []provEntry, stats *Stats) {
 	ps := v.ps
 	sh := ps.Sh
@@ -366,12 +347,14 @@ func (v *CombineView) scanBand(t int32, k, start, end int, row []int32, provRow 
 		}
 	}
 	cells := v.cells[start:end]
+	top := slices.Max(row[start:end])
 	for _, j := range level {
 		lm := &v.lms[j]
 		dt := lm.tree.Dist[t]
-		if dt < 0 || float64(dt) > thr {
+		if dt < 0 || float64(dt) > thr || lm.sr+dt >= top {
 			continue
 		}
+		lowered := false
 		pe, anc, lrow := lm.tree.ParentEdge, lm.anc, lm.row
 		ttin, ttout := anc.Stamps(t)
 		for ci := range cells {
@@ -402,10 +385,14 @@ func (v *CombineView) scanBand(t int32, k, start, end int, row []int32, provRow 
 			}
 			if cand := d + dt; cand < row[i] {
 				row[i] = cand
+				lowered = true
 				if provRow != nil {
 					provRow[i] = provEntry{kind: provVia, r: sh.List[j]}
 				}
 			}
+		}
+		if lowered {
+			top = slices.Max(row[start:end])
 		}
 	}
 }

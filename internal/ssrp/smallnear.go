@@ -84,8 +84,11 @@ func buildSmallNear(ps *PerSource, sc *engine.Scratch) *SmallNear {
 		startIdx: make([]int32, n),
 	}
 
-	// Lay out the [t,e] node blocks.
+	// Lay out the [t,e] node blocks, bounding the arcs as we go: one
+	// [s] → [v] arc per vertex, and at most one arc per neighbor into
+	// each [t,e] node.
 	next := int32(n)
+	arcs := n
 	for t := 0; t < n; t++ {
 		sn.teBase[t] = -1
 		sn.startIdx[t] = 0
@@ -100,6 +103,7 @@ func buildSmallNear(ps *PerSource, sc *engine.Scratch) *SmallNear {
 		sn.teBase[t] = next
 		sn.startIdx[t] = l - count
 		next += count
+		arcs += int(count) * g.Degree(t)
 	}
 	total := int(next)
 	sn.teVertex = make([]int32, total-n)
@@ -112,7 +116,7 @@ func buildSmallNear(ps *PerSource, sc *engine.Scratch) *SmallNear {
 		}
 	}
 
-	b := AttachedBuilder(sc, total, total)
+	b := AttachedBuilder(sc, total, arcs)
 	// [s] → [v] arcs, the compressed canonical prefixes.
 	for v := int32(0); v < int32(n); v++ {
 		if v != ts.Root && ts.Reachable(v) {

@@ -8,8 +8,10 @@
 //     L_0 … L_K with L ∋ s, a BFS tree and ancestry index per landmark
 //     (internal/sample, internal/bfs, internal/lca).
 //  2. d(s, r, e) for every landmark r and edge e on the canonical s→r
-//     path, via the classical single-pair algorithm (internal/classic) —
-//     Õ(m+n) each, Õ(m√n) total.
+//     path, via the classical crossing-edge characterization
+//     (internal/classic): the paper runs the single-pair algorithm once
+//     per landmark, Õ(m+n) each, Õ(m√n) total; classic.Rows fills
+//     every landmark's row in one sequential pass over T_s.
 //  3. The §7.1 auxiliary graph + one Dijkstra run: small replacement
 //     paths that avoid near edges (exact by Lemma 10's induction, with
 //     no dependence on sampling).

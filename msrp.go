@@ -111,10 +111,10 @@ type Options struct {
 
 	// Parallelism bounds the execution engine's worker goroutines
 	// across every parallel stage: landmark/center BFS forests, the
-	// per-landmark classical runs, the per-source and per-center MSRP
-	// pipeline stages, and the Oracle's batched builds. 1 means
-	// sequential; values <= 0 select GOMAXPROCS. Output is identical
-	// for every value.
+	// per-source and per-center MSRP pipeline stages, and the Oracle's
+	// batched builds (one source per worker; a single build is
+	// sequential). 1 means sequential; values <= 0 select GOMAXPROCS.
+	// Output is identical for every value.
 	Parallelism int
 
 	// MaxCachedSources bounds how many materialized per-source results

@@ -102,13 +102,6 @@ type Oracle struct {
 	isSource map[int]bool
 	sh       *ssrp.Shared
 	pool     *engine.Pool
-	// seq is the long-lived sequential inner pool handed to per-source
-	// builds triggered by QueryBatch, whose fan-out is already across
-	// sources. One pool for the oracle's lifetime means its scratch free
-	// list carries build buffers from batch to batch; allocating a fresh
-	// pool per batch made every batched lazy build regrow its scratch
-	// from nothing.
-	seq *engine.Pool
 	// compact re-encodes a tracked warm's provenance plane into
 	// per-source records ((*msrpcore.Solution).CompactProvenance; a field
 	// so tests can force its failure path).
@@ -418,7 +411,6 @@ func NewOracle(g *Graph, sources []int, opts Options) (*Oracle, error) {
 		isSource: make(map[int]bool, len(sources)),
 		sh:       sh,
 		pool:     sh.Pool,
-		seq:      engine.New(1),
 		compact:  (*msrpcore.Solution).CompactProvenance,
 		cache:    make(map[int]*entry, len(sources)),
 		inflight: make(map[int]*flight),
@@ -494,7 +486,7 @@ func (o *Oracle) WarmSources(ctx context.Context, sources []int) error {
 		}
 	}
 	err := o.pool.RunCtx(ctx, len(sources), func(i int) {
-		_, _ = o.result(ctx, sources[i], o.seq, false) // validated above; err is only ctx
+		_, _ = o.result(ctx, sources[i], false) // validated above; err is only ctx
 	})
 	if err != nil {
 		o.cancellations.Add(1)
@@ -505,7 +497,7 @@ func (o *Oracle) WarmSources(ctx context.Context, sources []int) error {
 // Query answers a single replacement-path question; s must be one of
 // the oracle's sources. Safe for concurrent use.
 func (o *Oracle) Query(s, t, u, v int) (int32, error) {
-	res, err := o.result(context.Background(), s, o.pool, false)
+	res, err := o.result(context.Background(), s, false)
 	if err != nil {
 		return 0, err
 	}
@@ -571,12 +563,10 @@ func (o *Oracle) QueryBatchContext(ctx context.Context, queries []Query) ([]Answ
 	}
 
 	// Serve cache hits inline, in first-seen order, and fan the batch
-	// out only from its first miss on: each per-source build runs its
-	// landmark stage sequentially (single-level parallelism) on the
-	// oracle's long-lived inner pool, whose free list reuses build
-	// scratch across batches. At Parallelism 1 the fan-out runs in
-	// order too, so the cache sees the batch's sources in first-seen
-	// order either way.
+	// out only from its first miss on: each per-source build is
+	// sequential, so the batch's parallelism is across sources. At
+	// Parallelism 1 the fan-out runs in order too, so the cache sees
+	// the batch's sources in first-seen order either way.
 	hits := 0
 	for hits < len(srcs) {
 		if srcs[hits].res = o.hit(srcs[hits].s, srcs[hits].paths); srcs[hits].res == nil {
@@ -586,7 +576,7 @@ func (o *Oracle) QueryBatchContext(ctx context.Context, queries []Query) ([]Answ
 	}
 	if rest := srcs[hits:]; len(rest) > 0 {
 		err := o.pool.RunCtx(ctx, len(rest), func(i int) {
-			rest[i].res, rest[i].err = o.result(ctx, rest[i].s, o.seq, rest[i].paths)
+			rest[i].res, rest[i].err = o.result(ctx, rest[i].s, rest[i].paths)
 		})
 		if err != nil {
 			o.cancellations.Add(1)
@@ -627,7 +617,7 @@ func (o *Oracle) QueryBatchContext(ctx context.Context, queries []Query) ([]Answ
 // case). The oracle must have been built with Options.TrackPaths, else
 // ErrPathsNotTracked. Safe for concurrent use.
 func (o *Oracle) QueryPath(s, t, u, v int) ([]int32, error) {
-	res, err := o.result(context.Background(), s, o.pool, true)
+	res, err := o.result(context.Background(), s, true)
 	if err != nil {
 		return nil, err
 	}
@@ -642,7 +632,7 @@ func (o *Oracle) QueryPath(s, t, u, v int) ([]int32, error) {
 // expansion reports ErrPathsNotTracked; QueryPath rebuilds the
 // provenance instead.
 func (o *Oracle) Result(s int) *Result {
-	res, err := o.result(context.Background(), s, o.pool, false)
+	res, err := o.result(context.Background(), s, false)
 	if err != nil {
 		return nil
 	}
@@ -770,8 +760,7 @@ func (o *Oracle) CachedSources() int {
 }
 
 // result returns the materialized result for s, building it at most
-// once across concurrent callers (single-flight). pool bounds the
-// landmark fan-out of a build triggered by this call.
+// once across concurrent callers (single-flight).
 //
 // With paths set on a tracked oracle the result must carry provenance:
 // a cached entry without it (budget-stripped, or installed
@@ -788,7 +777,7 @@ func (o *Oracle) CachedSources() int {
 // and single-flight joiners always receive a complete result; a joiner
 // whose ctx cancels mid-wait detaches with ctx.Err() while the build
 // continues for everyone else.
-func (o *Oracle) result(ctx context.Context, s int, pool *engine.Pool, paths bool) (*Result, error) {
+func (o *Oracle) result(ctx context.Context, s int, paths bool) (*Result, error) {
 	if !o.isSource[s] {
 		return nil, notSourceError(s)
 	}
@@ -844,7 +833,7 @@ func (o *Oracle) result(ctx context.Context, s int, pool *engine.Pool, paths boo
 		}
 	}
 
-	built := o.build(int32(s), pool)
+	built := o.build(int32(s))
 
 	if rebuild {
 		o.rebuildActive.Add(-1)
@@ -899,12 +888,12 @@ func (o *Oracle) hitLocked(s int, paths bool) *Result {
 
 // build materializes one source against the shared preprocessing: the
 // §7.1 small-near graph, exact landmark replacement lengths via the
-// classical algorithm (sharded over pool), and the per-target combine.
+// classical algorithm (one pass over T_s), and the per-target combine.
 // Deterministic in (graph, source set, options) alone. Under
 // Options.TrackPaths the build also records the provenance plane (the
 // witness snapshot and the classic crossing-edge witnesses), so the
 // result expands paths; lengths are unchanged.
-func (o *Oracle) build(s int32, pool *engine.Pool) *Result {
+func (o *Oracle) build(s int32) *Result {
 	start := time.Now()
 	ps := o.sh.NewPerSource(s)
 	ps.TrackPaths = o.opts.TrackPaths
@@ -912,7 +901,7 @@ func (o *Oracle) build(s int32, pool *engine.Pool) *Result {
 	if ps.TrackPaths {
 		ps.Snap = ps.Small.SnapshotProvenance()
 	}
-	ps.ComputeLenSRClassicPool(pool)
+	ps.ComputeLenSRClassic()
 	res := wrapResult(o.g.g, ps.Combine(nil))
 	if ps.TrackPaths {
 		res.ps = ps

@@ -397,46 +397,3 @@ func TestOracleLRUEvictionRacesInflightBuild(t *testing.T) {
 		}
 	}
 }
-
-// TestQueryBatchScratchReuse: the per-batch inner pool is gone —
-// batched lazy builds run on one long-lived sequential pool whose
-// free list carries build scratch from batch to batch. Regression:
-// QueryBatch allocated engine.New(1) per batch, so every batched
-// build regrew its scratch from nothing.
-func TestQueryBatchScratchReuse(t *testing.T) {
-	const n = 60
-	g := GenerateRandomConnected(73, n, 180)
-	sources := []int{0, 20, 40}
-	opts := testOptions(74)
-	opts.Parallelism = 1      // deterministic: exactly one worker, one scratch
-	opts.MaxCachedSources = 1 // every batch rebuilds every source (maximum churn)
-	oracle, err := NewOracle(g, sources, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewOracle(g, sources, testOptions(74))
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := batchFor(t, ref, sources, n)
-
-	// Two warm-up batches grow the inner pool's arena to steady state.
-	oracle.QueryBatch(queries)
-	oracle.QueryBatch(queries)
-	allocs, bytes := oracle.seq.ScratchAllocs(), oracle.seq.ScratchBytes()
-	if allocs != 1 {
-		t.Fatalf("inner pool allocated %d scratches with Parallelism=1, want 1", allocs)
-	}
-	if bytes == 0 {
-		t.Fatal("inner pool arena empty after builds — builds are not using it")
-	}
-	for i := 0; i < 5; i++ {
-		oracle.QueryBatch(queries)
-	}
-	if got := oracle.seq.ScratchAllocs(); got != allocs {
-		t.Fatalf("scratch allocations grew %d → %d across batches; inner pool not reused", allocs, got)
-	}
-	if got := oracle.seq.ScratchBytes(); got != bytes {
-		t.Fatalf("scratch footprint changed %d → %d bytes across identical batches", bytes, got)
-	}
-}
