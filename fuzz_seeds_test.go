@@ -3,7 +3,7 @@ package msrp
 // Cross-cutting randomized coverage, two tiers:
 //
 //   - TestFuzzSeedSweep: the whole public pipeline (multi-source,
-//     varying σ, both assembly modes) against the brute-force oracle
+//     varying σ) against the brute-force oracle
 //     over many independently seeded instances — the in-repo version
 //     of cmd/msrp-verify, kept small enough for CI.
 //   - FuzzOracleQuery: a native `go test -fuzz` target that decodes
@@ -51,7 +51,6 @@ func TestFuzzSeedSweep(t *testing.T) {
 		p.Seed = rng.Uint64()
 		p.SampleBoost = 12
 		p.SuffixScale = 0.25
-		p.PaperBottleneck = trial%2 == 1 // alternate assembly modes
 		sol, err := msrpcore.Solve(g, sources, p)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -59,8 +58,8 @@ func TestFuzzSeedSweep(t *testing.T) {
 		for i, s := range sources {
 			want := naive.SSRP(g, s)
 			if d := rp.Diff(want, sol.Results[i]); d != "" {
-				t.Fatalf("trial %d (n=%d m=%d σ=%d mode=%v) source %d: %s",
-					trial, n, m, sigma, p.PaperBottleneck, s, d)
+				t.Fatalf("trial %d (n=%d m=%d σ=%d) source %d: %s",
+					trial, n, m, sigma, s, d)
 			}
 		}
 	}

@@ -135,7 +135,6 @@ func All() []Experiment {
 		{"E7", "Scaling-trick ablation", "§3: leveled L_k vs flat landmark scans", RunE7},
 		{"E8", "Crossover map", "fastest algorithm per (n, σ)", RunE8},
 		{"E9", "Auxiliary graph sizes", "§7.1/§8 graph size formulas", RunE9},
-		{"E10", "Assembly-mode ablation", "default sound assembly vs the paper's literal §8.3", RunE10},
 		{"E11", "Preserver sizes", "fault-tolerant BFS subgraph vs the Parter–Peleg n^1.5 bound", RunE11},
 		{"E12", "Engine parallel scaling", "σ-source solve and batched Oracle vs Parallelism (near-linear to GOMAXPROCS)", RunE12},
 		{"E13", "Seed-table shard scaling", "sharded §8.2.1 build and one-item atomic-counter scheduling on a skewed σ-source family", RunE13},

@@ -504,62 +504,6 @@ func RunE9(w io.Writer, cfg Config) error {
 	return nil
 }
 
-// RunE10 — assembly-mode ablation: the default sound assembly
-// (interval avoidance + fixpoint sweeps) versus the paper's literal
-// §8.3 bottleneck machinery. Both should be exact on these workloads;
-// the table compares their time and auxiliary-graph footprints.
-func RunE10(w io.Writer, cfg Config) error {
-	n := 240
-	if cfg.Quick {
-		n = 120
-	}
-	rng := xrand.New(77)
-	workloads := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"random m=4n", graph.RandomConnected(rng, n, 4*n)},
-		{"cycle+chords", graph.CycleWithChords(rng, n, n/25)},
-		{"grid 2xN", graph.Grid(2, n/2)},
-	}
-	t := NewTable("E10: assembly-mode ablation (default vs paper §8.3)",
-		"workload", "mode", "time", "aux_nodes", "aux_arcs", "mismatches")
-	for _, wl := range workloads {
-		nn := wl.g.NumVertices()
-		sources := []int32{0, int32(nn / 2)}
-		for _, paper := range []bool{false, true} {
-			p := mild(uint64(nn), nn, len(sources))
-			p.PaperBottleneck = paper
-			var stats *msrp.Stats
-			var results []*rp.Result
-			d := timed(func() {
-				var err error
-				sol, err := msrp.Solve(wl.g, sources, p)
-				if err != nil {
-					panic(err)
-				}
-				results, stats = sol.Results, sol.Stats
-			})
-			mism := 0
-			for i, s := range sources {
-				want := naive.SSRP(wl.g, s)
-				mm, _ := rp.CountMismatches(want, results[i])
-				mism += mm
-			}
-			mode := "default"
-			nodes, arcs := stats.SCNodes+stats.CLNodes, stats.SCArcs+stats.CLArcs
-			if paper {
-				mode = "paper §8.3"
-				nodes += stats.BNNodes
-				arcs += stats.BNArcs
-			}
-			t.Row(wl.name, mode, d, nodes, arcs, mism)
-		}
-	}
-	t.Print(w)
-	return nil
-}
-
 // RunE11 — fault-tolerant preserver sizes (related work §1.1,
 // Parter–Peleg): edges of the replacement-path-derived single-source
 // preserver against the Θ(n^{3/2}) bound, across densities.

@@ -250,53 +250,3 @@ func TestWitnessPathsAreValid(t *testing.T) {
 		}
 	}
 }
-
-func TestMostVitalEdges(t *testing.T) {
-	// Barbell: bridge edges are infinitely vital, clique edges cheap.
-	g := graph.Barbell(4, 3)
-	s, tt := int32(0), int32(g.NumVertices()-1)
-	all := MostVitalEdges(g, s, tt, 0)
-	if len(all) == 0 {
-		t.Fatal("no vital edges returned")
-	}
-	// Sorted by damage descending.
-	for i := 1; i < len(all); i++ {
-		if all[i].Damage > all[i-1].Damage {
-			t.Fatalf("not sorted: %v", all)
-		}
-	}
-	// The top entries must be the bridges (infinite damage).
-	if all[0].Damage != rp.Inf {
-		t.Fatalf("top vital edge has finite damage %d", all[0].Damage)
-	}
-	// Every reported damage must match naive recomputation.
-	for _, ve := range all {
-		want := naive.OnePair(g, s, tt, ve.Edge)
-		if ve.ReplacementLen != want {
-			t.Fatalf("edge %d: replacement %d, naive %d", ve.Edge, ve.ReplacementLen, want)
-		}
-	}
-	// k truncation.
-	top2 := MostVitalEdges(g, s, tt, 2)
-	if len(top2) != 2 || top2[0].Edge != all[0].Edge {
-		t.Fatalf("k=2 truncation wrong")
-	}
-	// Unreachable / self pairs.
-	if MostVitalEdges(g, s, s, 3) != nil {
-		t.Fatal("self pair should be nil")
-	}
-}
-
-func TestMostVitalEdgesCycle(t *testing.T) {
-	// On a cycle every path edge has the same damage: n - 2·d(s,t).
-	g := graph.Cycle(10)
-	all := MostVitalEdges(g, 0, 3, 0)
-	if len(all) != 3 {
-		t.Fatalf("got %d edges", len(all))
-	}
-	for _, ve := range all {
-		if ve.Damage != 10-2*3 {
-			t.Fatalf("damage %d, want 4", ve.Damage)
-		}
-	}
-}

@@ -1,6 +1,5 @@
 // Package dijkstra runs Dijkstra's algorithm over the weighted directed
-// auxiliary graphs the paper constructs in §7.1, §8.1, §8.2.2 and
-// §8.3.2.
+// auxiliary graphs the paper constructs in §7.1, §8.1 and §8.2.2.
 //
 // Auxiliary graphs are built once, run once, and discarded, so the
 // representation is a freshly compacted CSR of arcs with int64

@@ -57,7 +57,9 @@ func Decode(r io.Reader) (*Graph, error) {
 			if len(fields) != 4 || fields[1] != "msrp" {
 				return nil, fmt.Errorf("%w: bad problem line at line %d", ErrBadFormat, line)
 			}
-			n, err := strconv.Atoi(fields[2])
+			// Vertex ids are int32, so a count of 2³¹ or more is
+			// out of range (ParseInt's bitSize rejects it).
+			n, err := strconv.ParseInt(fields[2], 10, 32)
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("%w: bad vertex count at line %d", ErrBadFormat, line)
 			}
@@ -65,7 +67,7 @@ func Decode(r io.Reader) (*Graph, error) {
 			if err != nil || m < 0 {
 				return nil, fmt.Errorf("%w: bad edge count at line %d", ErrBadFormat, line)
 			}
-			b = NewBuilder(n)
+			b = NewBuilder(int(n))
 			wantEdges = m
 		case "e":
 			if b == nil {

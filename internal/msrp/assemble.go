@@ -22,12 +22,12 @@ import (
 // `avoid` term replaces the paper's bottleneck-edge machinery with a
 // candidate that is *unconditionally* sound: a path avoiding the whole
 // interval avoids every edge in it, so one value serves the interval.
-// (bottleneck.go's header records why the literal bottleneck
-// construction has an unsound corner on terminal intervals.)
-// Completeness gaps left by the one-hop restriction are closed by the
-// fixpoint sweeps in sweepLandmarks, which re-run the far/near
-// candidate machinery over landmark targets until the mutual recursion
-// between landmark values stabilizes.
+// §8.3's literal bottleneck edges undershoot at paper constants
+// (EXPERIMENTS.md, E10 final row set). Completeness gaps left by the
+// one-hop restriction are closed by the fixpoint sweeps in
+// sweepLandmarks, which re-run the far/near candidate machinery over
+// landmark targets until the mutual recursion between landmark values
+// stabilizes.
 func assembleLenSR(ps *ssrp.PerSource, ctr *Centers, sc *hubGraph, cl *centerLandmark, scr *engine.Scratch) map[int32][]int32 {
 	sh := ps.Sh
 	ts := ps.Ts
@@ -46,9 +46,6 @@ func assembleLenSR(ps *ssrp.PerSource, ctr *Centers, sc *hubGraph, cl *centerLan
 		path := ts.PathInto(pathBuf, r)
 		edges := ts.PathEdgesInto(edgeBuf, r)
 		boundaries := ctr.intervalsOn(path)
-		// MTC per edge (term1 through the left center of its interval,
-		// term2 through the right one — shared with the bottleneck
-		// mode; see computeMTCRow).
 		row := computeMTCRow(ps, ctr, sc, cl, r, path, edges, boundaries)
 
 		// Per-interval one-hop avoidance plus the §7.1 small values.
@@ -67,6 +64,47 @@ func assembleLenSR(ps *ssrp.PerSource, ctr *Centers, sc *hubGraph, cl *centerLan
 		lenSR[r] = row
 	}
 	return lenSR
+}
+
+// computeMTCRow fills MTC(s,r,·) for every edge of the sr path: per
+// interval of the decomposition, term1 through its left center c1
+// (|sc1| + d(c1,r,e) from §8.2.2's G_c) and term2 through its right
+// center c2 (d(s,c2,e) from §8.1's G_s, plus |c2r|).
+func computeMTCRow(ps *ssrp.PerSource, ctr *Centers, sc *hubGraph, cl *centerLandmark,
+	r int32, path []int32, edges []int32, boundaries []int32) []int32 {
+	ts := ps.Ts
+	l := len(edges)
+	row := make([]int32, l)
+	for i := range row {
+		row[i] = rp.Inf
+	}
+	for q := 0; q+1 < len(boundaries); q++ {
+		lo, hi := boundaries[q], boundaries[q+1]
+		c1 := path[lo]
+		c2 := path[hi]
+		gc1 := cl.at(c1)
+		lastInterval := int(hi) == l
+		for i := lo; i < hi; i++ {
+			e := edges[i]
+			best := rp.Inf
+			if d1 := gc1.dist(r, e); d1 < rp.Inf {
+				if cand := ts.Dist[c1] + d1; cand < best {
+					best = cand
+				}
+			}
+			if !lastInterval {
+				if d2 := sc.dist(c2, e); d2 < rp.Inf {
+					if dcr := ctr.Tree[c2].Dist[r]; dcr >= 0 {
+						if cand := d2 + dcr; cand < best {
+							best = cand
+						}
+					}
+				}
+			}
+			row[i] = best
+		}
+	}
+	return row
 }
 
 // intervalAvoidance returns the best one-hop candidate |sr'| + |r'r|

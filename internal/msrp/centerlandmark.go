@@ -250,6 +250,6 @@ func (cl *centerLandmark) spec(sh *ssrp.Shared, c int32, lt *hubTable, seed seed
 		hubs: sh.List, pos: cl.lmIdx, table: lt, hubTree: sh.Tree,
 		window: func(_, l int32) (int32, int32) { return 0, min(budget, l) },
 		seed:   func(r, _, e int32) (int32, bool) { return seed.Get(packCRE(c, r, e)) },
-		track:  tracksPaths(sh.Params),
+		track:  sh.Params.TrackPaths,
 	}
 }

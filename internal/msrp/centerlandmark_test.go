@@ -92,48 +92,3 @@ func TestCenterLandmarkCancellation(t *testing.T) {
 		}
 	}
 }
-
-// TestBottleneckCenterLandmarkRetainsNoProvenance: a PaperBottleneck
-// solve never builds the provenance plane, so its §8.2.2 stage must not
-// keep G_c parent chains even when TrackPaths is set — the condition
-// §8.1 already applies per source. A tracked default-mode build keeps
-// them, so the check is not vacuous.
-func TestBottleneckCenterLandmarkRetainsNoProvenance(t *testing.T) {
-	g := graph.RandomConnected(xrand.New(24), 40, 90)
-	for _, bottleneck := range []bool{false, true} {
-		p := testParams(25)
-		p.TrackPaths = true
-		p.PaperBottleneck = bottleneck
-		sh, err := ssrp.NewShared(g, []int32{0, 5}, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctr := newCenters(sh, sh.DeriveRNG())
-		var perSrc []*ssrp.PerSource
-		for _, s := range sh.Sources {
-			ps := sh.NewPerSource(s)
-			ps.BuildSmallNear()
-			perSrc = append(perSrc, ps)
-		}
-		seed, _, err := buildSeedTable(context.Background(), sh, perSrc, ctr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl, err := buildCenterLandmark(context.Background(), sh, ctr, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		retained := 0
-		for _, gc := range cl.graphs {
-			if gc.prov != nil {
-				retained++
-			}
-		}
-		if bottleneck && retained != 0 {
-			t.Errorf("tracked bottleneck build retained provenance for %d of %d centers", retained, len(cl.graphs))
-		}
-		if !bottleneck && retained != len(cl.graphs) {
-			t.Errorf("tracked default build retained provenance for %d of %d centers", retained, len(cl.graphs))
-		}
-	}
-}

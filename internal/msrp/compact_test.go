@@ -196,44 +196,3 @@ func TestCompactProvenanceNoTracking(t *testing.T) {
 		t.Fatal("untracked solve grew compact records")
 	}
 }
-
-// TestBottleneckTrackedServesLengthsOnly: TrackPaths + PaperBottleneck
-// is no longer rejected at Validate — the solve downgrades tracking per
-// source (the §8.3.2 values are build-run-discard), lengths stay
-// bit-identical to the untracked bottleneck solve, and path queries
-// fail per query.
-func TestBottleneckTrackedServesLengthsOnly(t *testing.T) {
-	g := graph.CycleWithChords(xrand.New(11), 60, 10)
-	p := testParams(4)
-	p.PaperBottleneck = true
-	sources := []int32{0, 30}
-
-	plain, err := Solve(g, sources, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.TrackPaths = true
-	tracked, err := Solve(g, sources, p)
-	if err != nil {
-		t.Fatalf("tracked bottleneck solve rejected: %v", err)
-	}
-	for i := range sources {
-		if d := rp.Diff(plain.Results[i], tracked.Results[i]); d != "" {
-			t.Fatalf("source %d: tracked bottleneck lengths diverged: %s", sources[i], d)
-		}
-	}
-	if tracked.Prov != nil || tracked.Stats.ProvenanceBytes != 0 {
-		t.Fatalf("bottleneck solve retained a provenance plane (%d bytes)", tracked.Stats.ProvenanceBytes)
-	}
-	for i, ps := range tracked.PerSource {
-		if ps.TrackPaths {
-			t.Fatalf("source %d still marked tracked under PaperBottleneck", i)
-		}
-		if _, err := ps.ReconstructPath(1, 0); err == nil {
-			t.Fatalf("source %d: ReconstructPath succeeded without provenance", i)
-		}
-	}
-	if err := tracked.CompactProvenance(); err != nil || tracked.Compact != nil {
-		t.Fatalf("bottleneck compaction should be a no-op, got compact=%v err=%v", tracked.Compact, err)
-	}
-}

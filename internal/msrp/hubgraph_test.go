@@ -259,7 +259,7 @@ func TestHubGraphMatchesReference(t *testing.T) {
 					scs := make([]*hubGraph, len(f.sources))
 					sh.Pool.RunScratch(len(f.sources), func(i int, sc *engine.Scratch) {
 						ps := sh.NewPerSource(f.sources[i])
-						ps.TrackPaths = tracksPaths(p)
+						ps.TrackPaths = p.TrackPaths
 						ps.BuildSmallNearScratch(sc)
 						perSrc[i] = ps
 						scs[i] = buildSourceCenter(ps, ctr, ct, sc)

@@ -76,11 +76,7 @@ type Stats struct {
 	// value in E9/E13 means a rehash cascade came back.
 	SeedRehashes int
 
-	// §8.3 auxiliary graphs (PaperBottleneck mode only).
-	BNNodes int64
-	BNArcs  int64
-
-	// Fixpoint sweep behaviour (default mode only).
+	// Fixpoint sweep behaviour.
 	Sweeps        int
 	SweepImproved int64
 
@@ -225,7 +221,7 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 	buildOne := func(i int, sc *engine.Scratch) {
 		start := time.Now()
 		ps := sh.NewPerSource(sources[i])
-		ps.TrackPaths = tracksPaths(p)
+		ps.TrackPaths = p.TrackPaths
 		ps.BuildSmallNearScratch(sc)
 		perSrc[i] = ps
 		scs[i] = buildSourceCenter(ps, ctr, ct, sc)
@@ -282,31 +278,20 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 		combine ssrp.Stats
 		sweeps  int
 		swImp   int64
-		bnNodes int64
-		bnArcs  int64
 	}
 	pss := make([]perSourceStats, len(perSrc))
 	if err := sh.Pool.RunScratchCtx(ctx, len(perSrc), func(i int, sc *engine.Scratch) {
 		start := time.Now()
 		defer func() { assembleNanos.Add(time.Since(start).Nanoseconds()) }()
 		ps := perSrc[i]
-		if p.PaperBottleneck {
-			lenSR, bs := assembleLenSRBottleneck(ps, ctr, scs[i], cl, sc)
-			ps.SetLenSR(lenSR)
-			pss[i].bnNodes = int64(bs.NumNodes)
-			pss[i].bnArcs = int64(bs.NumArcs)
-		} else {
-			ps.SetLenSR(assembleLenSR(ps, ctr, scs[i], cl, sc))
-			pss[i].sweeps, pss[i].swImp = sweepLandmarks(ps, maxSweeps)
-		}
+		ps.SetLenSR(assembleLenSR(ps, ctr, scs[i], cl, sc))
+		pss[i].sweeps, pss[i].swImp = sweepLandmarks(ps, maxSweeps)
 		results[i] = ps.Combine(&pss[i].combine)
 	}); err != nil {
 		return nil, err
 	}
 	stats.StageAssembly = time.Duration(assembleNanos.Load())
 	for i := range pss {
-		stats.BNNodes += pss[i].bnNodes
-		stats.BNArcs += pss[i].bnArcs
 		if pss[i].sweeps > stats.Sweeps {
 			stats.Sweeps = pss[i].sweeps
 		}
@@ -316,7 +301,7 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 		stats.NearLargeScans += pss[i].combine.NearLargeScans
 	}
 	sol := &Solution{Results: results, PerSource: perSrc, Stats: stats}
-	if tracksPaths(p) {
+	if p.TrackPaths {
 		sol.Prov = newProvenance(sh, ctr, perSrc, scs, cl, seed)
 		stats.ProvenanceBytes = sol.Prov.Bytes()
 		for _, ps := range perSrc {
@@ -325,13 +310,6 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 	}
 	return sol, nil
 }
-
-// tracksPaths reports whether a solve retains the provenance plane.
-// §8.3.2 bottleneck values are build-run-discard and carry no
-// retainable provenance, so a bottleneck solve serves lengths only: no
-// source, G_s or G_c keeps its path state, and path queries fail
-// per-query instead of the whole solve being rejected.
-func tracksPaths(p Params) bool { return p.TrackPaths && !p.PaperBottleneck }
 
 // maxInto raises *peak to v if v is larger (CAS loop; concurrent
 // callers may interleave arbitrarily, the maximum is order-free).

@@ -58,14 +58,6 @@ type Params struct {
 	// bit-identical with tracking on or off: tracking only observes the
 	// solve, it never steers it.
 	TrackPaths bool
-
-	// PaperBottleneck selects the paper's literal §8.3 assembly in the
-	// multi-source solver (bottleneck edges + the §8.3.2 auxiliary
-	// graph, no fixpoint sweeps) instead of the default sound
-	// interval-avoidance assembly. Compared by experiment E10; see
-	// the internal/msrp bottleneck.go header for the terminal-interval
-	// caveat.
-	PaperBottleneck bool
 }
 
 // DefaultParams returns the paper-faithful parameter set.
@@ -89,12 +81,6 @@ func (p Params) Validate() error {
 	if p.SuffixScale <= 0 {
 		return fmt.Errorf("%w: SuffixScale = %v", ErrBadParams, p.SuffixScale)
 	}
-	// TrackPaths + PaperBottleneck is accepted: the §8.3 bottleneck
-	// assembly has no provenance plane (its sr ⋄ B values come from the
-	// §8.3.2 graph, which is build-run-discard), so the multi-source
-	// solver downgrades tracking per source — lengths are served, path
-	// queries fail per query (ErrPathsNotTracked at the public layer)
-	// instead of the whole solve being rejected here.
 	return nil
 }
 

@@ -227,17 +227,3 @@ func TestSnapshotMatchesLiveAndSurvivesRelease(t *testing.T) {
 		}
 	}()
 }
-
-// TestTrackPathsAcceptsPaperBottleneck: the §8.3 assembly has no
-// provenance plane of its own, but the combination validates — the
-// multi-source solver downgrades tracking per source (lengths served,
-// path queries fail per query with ErrPathsNotTracked) instead of
-// rejecting the whole solve.
-func TestTrackPathsAcceptsPaperBottleneck(t *testing.T) {
-	p := testParams(1)
-	p.TrackPaths = true
-	p.PaperBottleneck = true
-	if err := p.Validate(); err != nil {
-		t.Fatalf("TrackPaths + PaperBottleneck rejected: %v", err)
-	}
-}

@@ -355,11 +355,7 @@ func MultiSource(g *Graph, sources []int, opts Options) ([]*Result, error) {
 	out := make([]*Result, len(sol.Results))
 	for i, res := range sol.Results {
 		out[i] = wrapResult(g.g, res)
-		// Gate on the per-source flag, not the option: the solver may
-		// downgrade tracking (e.g. the bottleneck assembly has no
-		// provenance), in which case path queries must fail per query
-		// with ErrPathsNotTracked rather than panic on absent state.
-		if sol.PerSource[i].TrackPaths {
+		if opts.TrackPaths {
 			out[i].ps = sol.PerSource[i]
 		}
 	}
