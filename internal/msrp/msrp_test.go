@@ -96,11 +96,13 @@ func TestCycleWithChordsMultiSource(t *testing.T) {
 		n := int32(g.NumVertices())
 		requireExact(t, g, []int32{0, n / 3, 2 * n / 3}, testParams(uint64(trial)+30))
 	}
+}
 
+func TestPaperBottleneckCornerIsReal(t *testing.T) {
 	// At paper constants, §8.3's literal bottleneck-edge assembly
 	// undershot on this instance (EXPERIMENTS.md, E10 final row set);
 	// the default assembly must stay exact on it.
-	rng = xrand.New(77)
+	rng := xrand.New(77)
 	_ = graph.RandomConnected(rng, 240, 4*240)
 	p := DefaultParams()
 	p.Seed = 240
