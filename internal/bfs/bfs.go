@@ -161,6 +161,17 @@ func (t *Tree) PathEdgesInto(dst []int32, v int32) []int32 {
 	return dst
 }
 
+// EdgeAt returns the edge id at position i (0-based from the root) of
+// the canonical root→v path, walking up from v: O(depth), for
+// on-demand path work rather than hot loops.
+func (t *Tree) EdgeAt(v int32, i int32) int32 {
+	x := v
+	for d := t.Dist[v] - 1; d > i; d-- {
+		x = t.Parent[x]
+	}
+	return t.ParentEdge[x]
+}
+
 // ChildEndpoint returns the endpoint of tree edge e that is farther from
 // the root (the "child" side), given the tree and the graph, along with
 // true if e is a tree edge of t. A graph edge e=(u,v) is a tree edge iff

@@ -61,21 +61,6 @@ func (p *Pool) Workers() int { return p.workers }
 // assertions; not part of any hot path.
 func (p *Pool) ScratchAllocs() int64 { return p.allocs.Load() }
 
-// ScratchBytes sums the backing-array footprints of the scratches
-// currently idle on the free list. Between runs every scratch is idle,
-// so the value is the pool's whole arena footprint; a value that stops
-// growing across repeated identical stages is the no-per-stage-growth
-// steady state the arenas exist for.
-func (p *Pool) ScratchBytes() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var total int64
-	for _, s := range p.free {
-		total += 4*int64(len(s.i32)) + 8*int64(len(s.i64)) + int64(len(s.bools))
-	}
-	return total
-}
-
 // Run executes fn(i) for every i in [0, n), sharded across up to
 // Workers() goroutines. fn must touch only state owned by its index.
 // Run returns after every item has completed.

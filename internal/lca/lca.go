@@ -1,27 +1,22 @@
-// Package lca answers constant-time ancestry and lowest-common-ancestor
-// queries on BFS trees.
+// Package lca answers constant-time ancestry queries on BFS trees.
 //
 // The paper's algorithms lean on one primitive (Lemma 6, citing
 // Bender–Farach-Colton): given the canonical tree T_x, decide in O(1)
 // whether an edge e lies on the canonical x→y path. For a BFS tree this
-// reduces to "is the child endpoint of e an ancestor of y", which an
-// Euler tour answers with two integer comparisons. Full LCA queries are
-// provided by a sparse table (range-minimum over the tour), built in
-// O(n log n) and queried in O(1).
+// reduces to "is the child endpoint of e an ancestor of y", which DFS
+// entry/exit timestamps answer with two integer comparisons. No
+// algorithm here needs full lowest-common-ancestor queries.
 package lca
 
 import (
-	"math/bits"
-
 	"msrp/internal/bfs"
 	"msrp/internal/graph"
 )
 
 // Ancestry answers O(1) ancestor queries on one BFS tree via DFS
-// entry/exit timestamps. It is the lightweight core of the package:
-// the algorithm builds one per landmark/center tree, where a full LCA
-// sparse table would waste Θ(n log n) memory each, and all it ever asks
-// is "does edge e lie on the canonical root→y path".
+// entry/exit timestamps. The algorithm builds one per landmark/center
+// tree, and all it ever asks is "does edge e lie on the canonical
+// root→y path".
 type Ancestry struct {
 	tree *bfs.Tree
 
@@ -31,39 +26,9 @@ type Ancestry struct {
 	tin, tout []int32
 }
 
-// Index extends Ancestry with full lowest-common-ancestor queries using
-// an Euler tour plus sparse table (Bender–Farach-Colton), O(n log n)
-// preprocessing and O(1) queries (the paper's Lemma 6).
-type Index struct {
-	Ancestry
-
-	// euler lists vertices in tour order (2·reachable−1 entries),
-	// first[v] is v's first tour position, and sparse[k][i] is the tour
-	// position of the minimum-depth vertex in the window [i, i+2^k).
-	euler  []int32
-	first  []int32
-	sparse [][]int32
-}
-
-// NewAncestry builds only the ancestor structure for t (no LCA table).
+// NewAncestry builds the ancestor structure for t. The graph g must be
+// the graph t was built from.
 func NewAncestry(g *graph.Graph, t *bfs.Tree) *Ancestry {
-	a, _ := build(g, t, false)
-	return a
-}
-
-// Bytes returns the ancestry's own array footprint (excluding the tree
-// it indexes) — used by the provenance plane's memory accounting.
-func (a *Ancestry) Bytes() int64 { return 4 * int64(len(a.tin)+len(a.tout)) }
-
-// New builds the full ancestry + LCA index for t. The graph g must be
-// the graph t was built from (needed to enumerate children
-// deterministically).
-func New(g *graph.Graph, t *bfs.Tree) *Index {
-	_, ix := build(g, t, true)
-	return ix
-}
-
-func build(g *graph.Graph, t *bfs.Tree, withLCA bool) (*Ancestry, *Index) {
 	n := g.NumVertices()
 	stamps := make([]int32, 2*n) // one allocation, as for the tree's arrays
 	anc := &Ancestry{
@@ -71,21 +36,14 @@ func build(g *graph.Graph, t *bfs.Tree, withLCA bool) (*Ancestry, *Index) {
 		tin:  stamps[:n:n],
 		tout: stamps[n:],
 	}
-	var ix *Index
-	if withLCA {
-		ix = &Index{first: make([]int32, n)}
-	}
 	for i := 0; i < n; i++ {
 		anc.tin[i] = -1
 		anc.tout[i] = -1
-		if withLCA {
-			ix.first[i] = -1
-		}
 	}
 
 	// Children lists in CSR form, derived from the parent array. The
-	// order children appear in bfs Order is deterministic, so the tour
-	// is too.
+	// order children appear in bfs Order is deterministic, so the
+	// stamps are too.
 	childOff := make([]int32, n+1)
 	for _, v := range t.Order {
 		if p := t.Parent[v]; p >= 0 {
@@ -105,11 +63,7 @@ func build(g *graph.Graph, t *bfs.Tree, withLCA bool) (*Ancestry, *Index) {
 		}
 	}
 
-	// Iterative DFS producing tin/tout and (if requested) the Euler tour.
-	reachable := len(t.Order)
-	if withLCA {
-		ix.euler = make([]int32, 0, 2*reachable-1)
-	}
+	// Iterative DFS producing tin/tout.
 	type frame struct {
 		v    int32
 		next int32
@@ -119,10 +73,6 @@ func build(g *graph.Graph, t *bfs.Tree, withLCA bool) (*Ancestry, *Index) {
 	timer := int32(0)
 	anc.tin[t.Root] = timer
 	timer++
-	if withLCA {
-		ix.first[t.Root] = 0
-		ix.euler = append(ix.euler, t.Root)
-	}
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		v := f.v
@@ -132,61 +82,19 @@ func build(g *graph.Graph, t *bfs.Tree, withLCA bool) (*Ancestry, *Index) {
 			f.next++
 			anc.tin[c] = timer
 			timer++
-			if withLCA {
-				ix.first[c] = int32(len(ix.euler))
-				ix.euler = append(ix.euler, c)
-			}
 			stack = append(stack, frame{v: c})
 			continue
 		}
 		anc.tout[v] = timer
 		timer++
 		stack = stack[:len(stack)-1]
-		if withLCA && len(stack) > 0 {
-			ix.euler = append(ix.euler, stack[len(stack)-1].v)
-		}
 	}
-	if !withLCA {
-		return anc, nil
-	}
-	ix.Ancestry = *anc
-
-	// Sparse table over tour depths.
-	tourLen := len(ix.euler)
-	levels := 1
-	if tourLen > 1 {
-		levels = bits.Len(uint(tourLen)) // floor(log2)+1
-	}
-	ix.sparse = make([][]int32, levels)
-	base := make([]int32, tourLen)
-	for i := range ix.euler {
-		base[i] = int32(i)
-	}
-	ix.sparse[0] = base
-	for k := 1; k < levels; k++ {
-		half := 1 << (k - 1)
-		width := tourLen - (1 << k) + 1
-		if width < 0 {
-			width = 0
-		}
-		row := make([]int32, width)
-		prev := ix.sparse[k-1]
-		for i := 0; i < width; i++ {
-			a, b := prev[i], prev[i+half]
-			if ix.depthAt(a) <= ix.depthAt(b) {
-				row[i] = a
-			} else {
-				row[i] = b
-			}
-		}
-		ix.sparse[k] = row
-	}
-	return &ix.Ancestry, ix
+	return anc
 }
 
-func (ix *Index) depthAt(tourPos int32) int32 {
-	return ix.tree.Dist[ix.euler[tourPos]]
-}
+// Bytes returns the ancestry's own array footprint (excluding the tree
+// it indexes) — used by the provenance plane's memory accounting.
+func (a *Ancestry) Bytes() int64 { return 4 * int64(len(a.tin)+len(a.tout)) }
 
 // Tree returns the underlying BFS tree.
 func (a *Ancestry) Tree() *bfs.Tree { return a.tree }
@@ -205,38 +113,6 @@ func (a *Ancestry) IsAncestor(x, y int32) bool {
 		return false
 	}
 	return a.tin[x] <= a.tin[y] && a.tout[y] <= a.tout[x]
-}
-
-// LCA returns the lowest common ancestor of a and b in the tree, or -1
-// if either vertex is unreachable from the root.
-func (ix *Index) LCA(a, b int32) int32 {
-	fa, fb := ix.first[a], ix.first[b]
-	if fa < 0 || fb < 0 {
-		return -1
-	}
-	if fa > fb {
-		fa, fb = fb, fa
-	}
-	width := uint(fb - fa + 1)
-	k := bits.Len(width) - 1
-	i := ix.sparse[k][fa]
-	j := ix.sparse[k][fb-int32(1<<k)+1]
-	if ix.depthAt(i) <= ix.depthAt(j) {
-		return ix.euler[i]
-	}
-	return ix.euler[j]
-}
-
-// TreeDist returns the number of edges on the tree path between a and
-// b, or -1 if either is unreachable. Because the tree is a BFS tree this
-// equals d(a,b) only when one endpoint is an ancestor of the other; it
-// is the tree metric otherwise.
-func (ix *Index) TreeDist(a, b int32) int32 {
-	l := ix.LCA(a, b)
-	if l < 0 {
-		return -1
-	}
-	return ix.tree.Dist[a] + ix.tree.Dist[b] - 2*ix.tree.Dist[l]
 }
 
 // EdgeOnRootPath reports whether graph edge e lies on the canonical

@@ -2,7 +2,6 @@ package lca
 
 import (
 	"testing"
-	"testing/quick"
 
 	"msrp/internal/bfs"
 	"msrp/internal/graph"
@@ -22,39 +21,15 @@ func naiveIsAncestor(t *bfs.Tree, a, b int32) bool {
 	return false
 }
 
-// naiveLCA lifts the deeper vertex then walks both up in lockstep.
-func naiveLCA(t *bfs.Tree, a, b int32) int32 {
-	if !t.Reachable(a) || !t.Reachable(b) {
-		return -1
-	}
-	for t.Dist[a] > t.Dist[b] {
-		a = t.Parent[a]
-	}
-	for t.Dist[b] > t.Dist[a] {
-		b = t.Parent[b]
-	}
-	for a != b {
-		a, b = t.Parent[a], t.Parent[b]
-	}
-	return a
-}
-
 func TestPathGraph(t *testing.T) {
 	g := graph.Path(8)
 	tr := bfs.New(g, 0)
-	ix := New(g, tr)
+	anc := NewAncestry(g, tr)
 	for a := int32(0); a < 8; a++ {
 		for b := int32(0); b < 8; b++ {
 			wantAnc := a <= b
-			if got := ix.IsAncestor(a, b); got != wantAnc {
+			if got := anc.IsAncestor(a, b); got != wantAnc {
 				t.Fatalf("IsAncestor(%d,%d) = %v", a, b, got)
-			}
-			wantLCA := a
-			if b < a {
-				wantLCA = b
-			}
-			if got := ix.LCA(a, b); got != wantLCA {
-				t.Fatalf("LCA(%d,%d) = %d, want %d", a, b, got, wantLCA)
 			}
 		}
 	}
@@ -66,16 +41,12 @@ func TestAgainstNaiveOnRandomGraphs(t *testing.T) {
 		g := graph.RandomConnected(rng, 50, 80+rng.Intn(60))
 		root := rng.Intn(50)
 		tr := bfs.New(g, root)
-		ix := New(g, tr)
+		anc := NewAncestry(g, tr)
 		n := int32(g.NumVertices())
 		for a := int32(0); a < n; a++ {
 			for b := int32(0); b < n; b++ {
-				if got, want := ix.IsAncestor(a, b), naiveIsAncestor(tr, a, b); got != want {
+				if got, want := anc.IsAncestor(a, b), naiveIsAncestor(tr, a, b); got != want {
 					t.Fatalf("trial %d root %d: IsAncestor(%d,%d) = %v want %v",
-						trial, root, a, b, got, want)
-				}
-				if got, want := ix.LCA(a, b), naiveLCA(tr, a, b); got != want {
-					t.Fatalf("trial %d root %d: LCA(%d,%d) = %d want %d",
 						trial, root, a, b, got, want)
 				}
 			}
@@ -89,17 +60,11 @@ func TestUnreachableVertices(t *testing.T) {
 	_ = b.AddEdge(1, 2)
 	g := b.MustBuild()
 	tr := bfs.New(g, 0)
-	ix := New(g, tr)
-	if ix.IsAncestor(0, 3) || ix.IsAncestor(3, 0) || ix.IsAncestor(3, 4) {
+	anc := NewAncestry(g, tr)
+	if anc.IsAncestor(0, 3) || anc.IsAncestor(3, 0) || anc.IsAncestor(3, 4) {
 		t.Fatal("ancestry with unreachable vertex")
 	}
-	if ix.LCA(0, 4) != -1 || ix.LCA(3, 4) != -1 {
-		t.Fatal("LCA with unreachable vertex should be -1")
-	}
-	if ix.TreeDist(0, 4) != -1 {
-		t.Fatal("TreeDist with unreachable vertex should be -1")
-	}
-	if ix.LCA(0, 2) != 0 || ix.TreeDist(0, 2) != 2 {
+	if !anc.IsAncestor(0, 2) || anc.IsAncestor(2, 0) {
 		t.Fatal("reachable pair mis-answered")
 	}
 }
@@ -108,16 +73,16 @@ func TestEdgeOnRootPath(t *testing.T) {
 	// Star: every edge is on exactly the path to its leaf.
 	g := graph.Star(6)
 	tr := bfs.New(g, 0)
-	ix := New(g, tr)
+	anc := NewAncestry(g, tr)
 	for e := 0; e < g.NumEdges(); e++ {
 		_, leaf := g.EdgeEndpoints(e)
 		for v := int32(1); v < 6; v++ {
 			want := v == leaf
-			if got := ix.EdgeOnRootPath(g, int32(e), v); got != want {
+			if got := anc.EdgeOnRootPath(g, int32(e), v); got != want {
 				t.Fatalf("edge %d target %d: %v want %v", e, v, got, want)
 			}
 		}
-		if ix.EdgeOnRootPath(g, int32(e), 0) {
+		if anc.EdgeOnRootPath(g, int32(e), 0) {
 			t.Fatal("no edge lies on the empty path to the root")
 		}
 	}
@@ -128,14 +93,14 @@ func TestEdgeOnRootPathMatchesPathEdges(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g := graph.RandomConnected(rng, 40, 100)
 		tr := bfs.New(g, 0)
-		ix := New(g, tr)
+		anc := NewAncestry(g, tr)
 		for v := int32(0); v < int32(g.NumVertices()); v++ {
 			onPath := map[int32]bool{}
 			for _, e := range tr.PathEdgesTo(v) {
 				onPath[e] = true
 			}
 			for e := int32(0); e < int32(g.NumEdges()); e++ {
-				if got := ix.EdgeOnRootPath(g, e, v); got != onPath[e] {
+				if got := anc.EdgeOnRootPath(g, e, v); got != onPath[e] {
 					t.Fatalf("trial %d: edge %d on path to %d: %v want %v",
 						trial, e, v, got, onPath[e])
 				}
@@ -147,7 +112,7 @@ func TestEdgeOnRootPathMatchesPathEdges(t *testing.T) {
 func TestNonTreeEdgeNeverOnPath(t *testing.T) {
 	g := graph.Cycle(9) // BFS tree omits exactly one cycle edge
 	tr := bfs.New(g, 0)
-	ix := New(g, tr)
+	anc := NewAncestry(g, tr)
 	nonTree := int32(-1)
 	for e := int32(0); e < int32(g.NumEdges()); e++ {
 		if _, ok := tr.ChildEndpoint(g, e); !ok {
@@ -159,40 +124,9 @@ func TestNonTreeEdgeNeverOnPath(t *testing.T) {
 		t.Fatal("cycle must have a non-tree edge")
 	}
 	for v := int32(0); v < 9; v++ {
-		if ix.EdgeOnRootPath(g, nonTree, v) {
+		if anc.EdgeOnRootPath(g, nonTree, v) {
 			t.Fatalf("non-tree edge reported on path to %d", v)
 		}
-	}
-}
-
-func TestTreeDistOnGrid(t *testing.T) {
-	g := graph.Grid(4, 4)
-	tr := bfs.New(g, 0)
-	ix := New(g, tr)
-	// Distances from the root through the tree equal BFS distances.
-	for v := int32(0); v < 16; v++ {
-		if ix.TreeDist(tr.Root, v) != tr.Dist[v] {
-			t.Fatalf("TreeDist(root,%d) = %d want %d", v, ix.TreeDist(tr.Root, v), tr.Dist[v])
-		}
-	}
-}
-
-func TestQuickLCAProperties(t *testing.T) {
-	f := func(seed uint32, aRaw, bRaw uint8) bool {
-		rng := xrand.New(uint64(seed))
-		g := graph.RandomConnected(rng, 30, 45)
-		tr := bfs.New(g, 0)
-		ix := New(g, tr)
-		a, b := int32(aRaw%30), int32(bRaw%30)
-		l := ix.LCA(a, b)
-		// The LCA is an ancestor of both, and symmetric.
-		return l >= 0 &&
-			ix.IsAncestor(l, a) && ix.IsAncestor(l, b) &&
-			ix.LCA(b, a) == l &&
-			ix.LCA(a, a) == a
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -202,40 +136,6 @@ func BenchmarkBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = New(g, tr)
-	}
-}
-
-func BenchmarkLCAQuery(b *testing.B) {
-	g := graph.RandomConnected(xrand.New(1), 5000, 20000)
-	tr := bfs.New(g, 0)
-	ix := New(g, tr)
-	b.ResetTimer()
-	var sink int32
-	for i := 0; i < b.N; i++ {
-		sink = ix.LCA(int32(i%5000), int32((i*7)%5000))
-	}
-	_ = sink
-}
-
-func TestAncestryMatchesIndex(t *testing.T) {
-	rng := xrand.New(20)
-	g := graph.RandomConnected(rng, 60, 140)
-	tr := bfs.New(g, 0)
-	ix := New(g, tr)
-	anc := NewAncestry(g, tr)
-	for a := int32(0); a < 60; a++ {
-		for b := int32(0); b < 60; b++ {
-			if ix.IsAncestor(a, b) != anc.IsAncestor(a, b) {
-				t.Fatalf("Ancestry and Index disagree on (%d,%d)", a, b)
-			}
-		}
-	}
-	for e := int32(0); e < int32(g.NumEdges()); e++ {
-		for v := int32(0); v < 60; v += 7 {
-			if ix.EdgeOnRootPath(g, e, v) != anc.EdgeOnRootPath(g, e, v) {
-				t.Fatalf("EdgeOnRootPath disagrees on edge %d target %d", e, v)
-			}
-		}
+		_ = NewAncestry(g, tr)
 	}
 }

@@ -2,111 +2,130 @@ package msrp
 
 import (
 	"context"
-	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
-	"msrp/internal/cuckoo"
 	"msrp/internal/engine"
 	"msrp/internal/rp"
 	"msrp/internal/ssrp"
 )
 
 // seedReader is the §8.2.1 seed table as the §8.2.2 build reads it:
-// O(1) worst-case keyed lookups plus the footprint accounting. The
-// solve always passes the merged *cuckoo.Table; the interface exists as
-// the cancellation test's seam, a reader that cancels the solve's
-// context on its first lookup.
+// seed(c, r, e) for the center at position ci of Centers.List, the
+// landmark at position k of the landmark list, and the index i of e on
+// T_c's c→r path. The solve always passes the merged *seedRows; the
+// interface exists as the cancellation test's seam, a reader that
+// cancels the solve's context on its first lookup.
 type seedReader interface {
-	Get(key uint64) (int32, bool)
-	Len() int
-	Bytes() int64
+	Get(ci, k, i int32) (int32, bool)
 }
 
-// Key packing for the (center, landmark, edge) seed table (§8.2.1).
-// 21 bits for each vertex id and 22 for the edge id fit exactly in 64.
-const (
-	vertexBits = 21
-	edgeBits   = 22
-	maxVertex  = 1 << vertexBits
-	maxEdge    = 1 << edgeBits
-)
-
-func packCRE(c, r, e int32) uint64 {
-	return uint64(c)<<(vertexBits+edgeBits) | uint64(r)<<edgeBits | uint64(e)
-}
-
-// checkPackable rejects graphs too large for the 64-bit key layout
-// (2M vertices / 4M edges — far beyond anything this harness runs).
-func checkPackable(n, m int) error {
-	if n >= maxVertex || m >= maxEdge {
-		return fmt.Errorf("msrp: graph too large for key packing (n=%d m=%d)", n, m)
-	}
-	return nil
-}
-
-// buildSeedTable implements §8.2.1: enumerate every small replacement
-// path from every source to every landmark (the §7.1 Dijkstra's
-// predecessor chains), and for every center c sitting on such a path
-// record the length of its c→r suffix. The table entry (c, r, e) → w
-// later becomes the [c]→[r,e] arc of G_c: a concrete e-avoiding c→r
-// walk, needed because small replacement paths have no long suffix for
-// the landmark sampling to hit.
+// seedRows is the §8.2.1 seed table, laid out like G_c's [r,e] nodes:
+// for center c and landmark r, one cell per edge among the first
+// min(Budget(priority(c)), |cr|) edges of T_c's c→r path, which are
+// exactly the edges G_c covers. A cell holds the shortest c→r suffix of
+// any source's small replacement path that passes c and avoids the
+// edge, rp.Inf where none does; the cell becomes G_c's [c]→[r,e] arc.
+// Small replacement paths have no long suffix for the landmark
+// sampling to hit, so these concrete e-avoiding walks must be seeded.
 //
-// The table is the paper's designated cuckoo-hash use: Θ(σn) paths may
-// produce entries and lookups must stay O(1) worst case during the
-// G_c construction (internal/cuckoo, Lemma 5).
-//
-// The build is sharded: sources are independent during enumeration, so
-// each engine item fills a private presized shard, and the shards are
-// merged into one presized table afterwards. Because the merged value
-// for a key is the minimum over all shards and min is commutative and
-// idempotent, the merged *contents* are identical for every worker
-// count and schedule; because shards are merged in source order and
-// each shard's build is deterministic, even the merged table's layout
-// is fixed. The returned rehash count (shards + merge) is the E9/E13
-// cascade observability: with presizing it stays at zero.
-func buildSeedTable(ctx context.Context, sh *ssrp.Shared, perSrc []*ssrp.PerSource, ctr *Centers) (*cuckoo.Table, int, error) {
-	shards := make([]*cuckoo.Table, len(perSrc))
-	if err := sh.Pool.RunScratchCtx(ctx, len(perSrc), func(i int, sc *engine.Scratch) {
-		shards[i] = buildSeedShard(perSrc[i], ctr, sc)
-	}); err != nil {
-		return nil, 0, err
-	}
-	merged, rehashes := mergeSeedShards(shards)
-	return merged, rehashes, nil
+// The paper keeps the seeds in a cuckoo hash for O(1) worst-case
+// lookups (Lemma 5). G_c only ever reads its own [r,e] nodes, so an
+// array over that node space gives the same bound with no hashing, and
+// offers G_c cannot read are never stored.
+type seedRows struct {
+	lms int // landmarks per center
+	// off[ci*(lms+1)+k] is the first cell of landmark k in center ci's
+	// block and off[ci*(lms+1)+k+1] ends it: per-center offsets, int32
+	// like G_c's node ids.
+	off []int32
+	// cells[ci] is center ci's block; nil until merge.
+	cells [][]int32
+	count int // finite cells
 }
 
-// mergeSeedShards folds the per-source shards into one presized table
-// with MinPut, in source order, and returns it with the total rehash
-// count (shards + merge) — the E9/E13 cascade observability. The solve
-// calls this once its pipelined build/enumerate stage has finished
-// every source (its only cross-source barrier); buildSeedTable wraps it
-// for the seed-table tests.
-func mergeSeedShards(shards []*cuckoo.Table) (*cuckoo.Table, int) {
-	rehashes := 0
-	total := 0
-	for _, shard := range shards {
-		total += shard.Len()
-		rehashes += shard.Rehashes()
+// seedOffer is one small path's bid for a seed cell: the c→r suffix
+// length w for cell `cell` of center position ci's block.
+type seedOffer struct{ ci, cell, w int32 }
+
+// newSeedRows lays out the cells of every (center, landmark) pair.
+func newSeedRows(landmarks []int32, ctr *Centers) *seedRows {
+	lms := len(landmarks)
+	sr := &seedRows{lms: lms, off: make([]int32, len(ctr.List)*(lms+1)), cells: make([][]int32, len(ctr.List))}
+	for ci, c := range ctr.List {
+		tc, budget := ctr.Tree[c], ctr.Budget(ctr.Priority(c))
+		block := sr.off[ci*(lms+1) : (ci+1)*(lms+1)]
+		for k, r := range landmarks {
+			// No cells for c itself (|cc| = 0) or for a landmark T_c
+			// does not reach (Dist −1): G_c gives neither a node.
+			block[k+1] = block[k] + max(0, min(budget, tc.Dist[r]))
+		}
 	}
-	merged := cuckoo.New(total)
-	for _, shard := range shards {
-		shard.Range(func(key uint64, val int32) bool {
-			merged.MinPut(key, val)
-			return true
-		})
-	}
-	return merged, rehashes + merged.Rehashes()
+	return sr
 }
 
-// buildSeedShard enumerates one source's small paths into a private
-// table presized by estimateSeedEntries. The path and edge expansions
-// run through scratch buffers sized once per item, so the Θ(n) sweep
-// performs no per-path allocation.
-func buildSeedShard(ps *ssrp.PerSource, ctr *Centers, sc *engine.Scratch) *cuckoo.Table {
-	table := cuckoo.New(estimateSeedEntries(ps))
-	n := ps.Sh.G.NumVertices()
+// span returns the cell range [lo, hi) of landmark k in center ci's
+// block.
+func (sr *seedRows) span(ci, k int32) (lo, hi int32) {
+	b := int(ci)*(sr.lms+1) + int(k)
+	return sr.off[b], sr.off[b+1]
+}
+
+// row returns landmark k's cells in center ci's block: cell i belongs
+// to the edge at index i of T_c's c→r path.
+func (sr *seedRows) row(ci, k int32) []int32 {
+	lo, hi := sr.span(ci, k)
+	return sr.cells[ci][lo:hi]
+}
+
+// Get returns seed(c, r, e_i) and whether some small path offers it.
+func (sr *seedRows) Get(ci, k, i int32) (int32, bool) {
+	w := sr.row(ci, k)[i]
+	return w, w < rp.Inf
+}
+
+// merge folds the per-source shards into the cells with min, in source
+// order. The solve calls it once its pipelined build/enumerate stage
+// has finished every source (its only cross-source barrier). min is
+// commutative and idempotent, so the cells are identical at any worker
+// count and schedule.
+func (sr *seedRows) merge(shards [][]seedOffer) {
+	for ci := range sr.cells {
+		end := sr.off[ci*(sr.lms+1)+sr.lms]
+		sr.cells[ci] = slices.Repeat([]int32{rp.Inf}, int(end))
+	}
+	for _, shard := range shards {
+		for _, o := range shard {
+			cell := &sr.cells[o.ci][o.cell]
+			if *cell == rp.Inf {
+				sr.count++
+			}
+			*cell = min(*cell, o.w)
+		}
+	}
+}
+
+// Bytes returns the table's footprint: cells and offsets.
+func (sr *seedRows) Bytes() int64 {
+	b := 4 * int64(len(sr.off))
+	for _, row := range sr.cells {
+		b += 4 * int64(len(row))
+	}
+	return b
+}
+
+// buildSeedShard implements §8.2.1 for one source: it enumerates every
+// small replacement path to every landmark r (the §7.1 Dijkstra's
+// predecessor chains), and for every center c the path passes before r
+// it offers the c→r suffix length as seed(c, r, e). Only offers G_c
+// can read are kept: e must lie on T_c's c→r path, within c's budget.
+// e's child endpoint in T_c and its stamps come from the centers' hub
+// table ct. The path and edge expansions run through scratch buffers
+// sized once per item, so the Θ(n) sweep allocates only the offers.
+func buildSeedShard(ps *ssrp.PerSource, ctr *Centers, ct *hubTable, seed *seedRows, sc *engine.Scratch) []seedOffer {
+	g := ps.Sh.G
+	n := g.NumVertices()
 	edgeBuf := sc.Int32(n) // canonical tree paths have < n edges
 	// Small replacement paths are walks — prefix plus near-hop tail can
 	// exceed n vertices — so give the buffer slack; PathVerticesInto
@@ -114,12 +133,14 @@ func buildSeedShard(ps *ssrp.PerSource, ctr *Centers, sc *engine.Scratch) *cucko
 	// small-path lengths (≤ |sr| + 2X < n each for prefix and tail).
 	pathBuf := sc.Int32(2*n + 2)
 	ts := ps.Ts
-	for _, r := range ps.Sh.List {
+	var offers []seedOffer
+	for k, r := range ps.Sh.List {
 		if r == ps.S || !ts.Reachable(r) {
 			continue
 		}
 		l := ts.Dist[r]
 		edges := ts.PathEdgesInto(edgeBuf, r)
+		rr := ct.row(r)
 		for i := ps.Small.NearStart(r); i < l; i++ {
 			if ps.Small.Value(r, int(i)) >= rp.Inf {
 				continue
@@ -129,40 +150,37 @@ func buildSeedShard(ps *ssrp.PerSource, ctr *Centers, sc *engine.Scratch) *cucko
 				continue
 			}
 			e := edges[i]
+			u, v := g.EdgeEndpoints(int(e))
+			ru, rv := ct.row(u), ct.row(v)
 			last := len(path) - 1
-			for pos, w := range path {
-				if pos == last {
-					break // suffix of length 0 (c = r) is trivial
-				}
-				if !ctr.IsCenter(w) {
+			for pos, c := range path[:last] { // a suffix of length 0 (c = r) is trivial
+				ci := ctr.Index(c)
+				if ci < 0 {
 					continue
 				}
-				table.MinPut(packCRE(w, r, e), int32(last-pos))
+				var child hubCell // e's child endpoint in T_c
+				switch e {
+				case rv[ci].edge:
+					child = rv[ci]
+				case ru[ci].edge:
+					child = ru[ci]
+				default:
+					continue // e is not a T_c edge
+				}
+				// e lies on T_c's c→r path iff its child endpoint is an
+				// ancestor of r (never when T_c does not reach r), at
+				// index depth(child)−1; the block ends at c's budget.
+				if d := rr[ci]; child.tin > d.tin || d.tout > child.tout {
+					continue
+				}
+				lo, hi := seed.span(ci, int32(k))
+				if j := child.dist - 1; j < hi-lo {
+					offers = append(offers, seedOffer{ci: ci, cell: lo + j, w: int32(last - pos)})
+				}
 			}
 		}
 	}
-	return table
-}
-
-// estimateSeedEntries bounds one source's seed-table contribution so
-// the shard can be presized (no growth-rehash cascade mid-build). A
-// small path of length w adds at most one entry per vertex before r,
-// so the sum of the enumerated small values is an upper bound. On E8's
-// seed-300 graph it is 1.4× the real count (TestSeedEstimateCoversActual
-// holds it within 2×).
-func estimateSeedEntries(ps *ssrp.PerSource) int {
-	est := 0
-	for _, r := range ps.Sh.List {
-		if r == ps.S || !ps.Ts.Reachable(r) {
-			continue
-		}
-		for i := ps.Small.NearStart(r); i < ps.Ts.Dist[r]; i++ {
-			if w := ps.Small.Value(r, int(i)); w < rp.Inf {
-				est += int(w)
-			}
-		}
-	}
-	return est
+	return offers
 }
 
 // centerLandmark holds the §8.2.2 output: one solved G_c per center c,
@@ -244,12 +262,12 @@ func buildCenterLandmark(ctx context.Context, sh *ssrp.Shared, ctr *Centers, see
 
 // spec describes center c's G_c over the landmarks' hub table lt.
 func (cl *centerLandmark) spec(sh *ssrp.Shared, c int32, lt *hubTable, seed seedReader) hubSpec {
-	budget := cl.ctr.Budget(cl.ctr.Priority(c))
+	ci, budget := cl.ctr.Index(c), cl.ctr.Budget(cl.ctr.Priority(c))
 	return hubSpec{
 		g: sh.G, anc: cl.ctr.Anc[c],
 		hubs: sh.List, pos: cl.lmIdx, table: lt, hubTree: sh.Tree,
 		window: func(_, l int32) (int32, int32) { return 0, min(budget, l) },
-		seed:   func(r, _, e int32) (int32, bool) { return seed.Get(packCRE(c, r, e)) },
+		seed:   func(r, i, _ int32) (int32, bool) { return seed.Get(ci, cl.lmIdx[r], i) },
 		track:  sh.Params.TrackPaths,
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // cancelingSeed wraps a seedReader and cancels a context on the first
-// Get, recording which centers were probed — a deterministic mid-run
+// Get, recording which center positions were probed — a deterministic mid-run
 // cancellation for the §8.2.2 stage. The mutex makes it safe under a
 // parallel fan-out.
 type cancelingSeed struct {
@@ -22,18 +22,16 @@ type cancelingSeed struct {
 	centers map[int32]bool
 }
 
-func (cs *cancelingSeed) Get(key uint64) (int32, bool) {
+func (cs *cancelingSeed) Get(ci, k, i int32) (int32, bool) {
 	cs.mu.Lock()
 	cs.calls++
 	if cs.calls == 1 {
 		cs.cancel()
 	}
-	cs.centers[int32(key>>(vertexBits+edgeBits))] = true
+	cs.centers[ci] = true
 	cs.mu.Unlock()
-	return cs.inner.Get(key)
+	return cs.inner.Get(ci, k, i)
 }
-func (cs *cancelingSeed) Len() int     { return cs.inner.Len() }
-func (cs *cancelingSeed) Bytes() int64 { return cs.inner.Bytes() }
 
 // TestCenterLandmarkCancellation is the §8.2.2 bugfix pin: the stage
 // used to run on a context-blind scheduler, so a cancelled solve still
@@ -64,7 +62,7 @@ func TestCenterLandmarkCancellation(t *testing.T) {
 			ps.BuildSmallNear()
 			perSrc = append(perSrc, ps)
 		}
-		seed, _, err := buildSeedTable(context.Background(), sh, perSrc, ctr)
+		seed, err := buildSeedTable(context.Background(), sh, perSrc, ctr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +85,7 @@ func TestCenterLandmarkCancellation(t *testing.T) {
 		if _, err := buildCenterLandmark(dead, sh, ctr, seed); err != context.Canceled {
 			t.Fatalf("P=%d pre-cancelled: err = %v, want context.Canceled", tc.workers, err)
 		}
-		if _, _, err := buildSeedTable(dead, sh, perSrc, ctr); err != context.Canceled {
+		if _, err := buildSeedTable(dead, sh, perSrc, ctr); err != context.Canceled {
 			t.Fatalf("P=%d pre-cancelled seed build: err = %v, want context.Canceled", tc.workers, err)
 		}
 	}

@@ -407,23 +407,13 @@ func (hg *hubGraph) expand(node int32, seedWalk func(h, i, e int32) ([]int32, er
 	case par == 0 && idx < 0:
 		return tree.PathTo(own), nil
 	case par == 0:
-		return seedWalk(own, idx, treeEdgeAt(tree, own, idx))
+		return seedWalk(own, idx, tree.EdgeAt(own, idx))
 	}
 	prefix, err := hg.expand(par, seedWalk)
 	if err != nil {
 		return nil, err
 	}
 	return appendLeg(prefix, hg.hubTree[ap.nodeOwn[par]].PathTo(own)), nil
-}
-
-// treeEdgeAt returns the edge id at position j (0-based from the root)
-// of the canonical tree path to v.
-func treeEdgeAt(t *bfs.Tree, v int32, j int32) int32 {
-	x := v
-	for d := t.Dist[v] - 1; d > j; d-- {
-		x = t.Parent[x]
-	}
-	return t.ParentEdge[x]
 }
 
 // auxProv is the retained provenance of one hub graph: the parent

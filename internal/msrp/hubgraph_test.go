@@ -264,7 +264,7 @@ func TestHubGraphMatchesReference(t *testing.T) {
 						perSrc[i] = ps
 						scs[i] = buildSourceCenter(ps, ctr, ct, sc)
 					})
-					seed, _, err := buildSeedTable(context.Background(), sh, perSrc, ctr)
+					seed, err := buildSeedTable(context.Background(), sh, perSrc, ctr)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -17,7 +17,8 @@
 //     c on the s→c path (hubgraph.go, buildSourceCenter).
 //  3. §8.2.1 — enumerate the small replacement paths found by the §7.1
 //     Dijkstras of all sources, recording the c→r suffix length of
-//     every center c they pass (centerlandmark.go, the cuckoo table).
+//     every center c they pass in the seed cell of G_c's [r,e] node
+//     (centerlandmark.go, seedRows).
 //  4. §8.2.2 — per center c, one hub-graph Dijkstra (G_c) yields
 //     d(c, r, e) for every landmark r and the edges within c's budget
 //     (hubgraph.go's solver, fanned out in centerlandmark.go).
@@ -37,7 +38,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"msrp/internal/cuckoo"
 	"msrp/internal/engine"
 	"msrp/internal/graph"
 	"msrp/internal/rp"
@@ -67,13 +67,16 @@ type Stats struct {
 	SCNodes int64
 	SCArcs  int64
 
-	// §8.2 auxiliary graphs (summed over centers) and seed table size.
-	CLNodes   int64
-	CLArcs    int64
+	// §8.2 auxiliary graphs (summed over centers).
+	CLNodes int64
+	CLArcs  int64
+	// SeedCount is the number of finite §8.2.1 seed cells: the
+	// [c]→[r,e] arcs the G_c graphs receive.
 	SeedCount int
-	// SeedRehashes counts cuckoo rebuilds across the sharded §8.2.1
-	// build (shards + merge). Presizing keeps it at zero; a nonzero
-	// value in E9/E13 means a rehash cascade came back.
+	// SeedRehashes is always 0. It counted cuckoo-table rebuilds when
+	// the seed table was a hash; the seed cells are an array now, but
+	// the field stays because the repository benchmark reports it
+	// (cuckoo.seed_rehashes).
 	SeedRehashes int
 
 	// Fixpoint sweep behaviour.
@@ -141,9 +144,6 @@ type Solution struct {
 // Solve computes all replacement path lengths from every source.
 // Results are returned in source order.
 func Solve(g *graph.Graph, sources []int32, p Params) (*Solution, error) {
-	if err := checkPackable(g.NumVertices(), g.NumEdges()); err != nil {
-		return nil, err
-	}
 	sh, err := ssrp.NewShared(g, sources, p)
 	if err != nil {
 		return nil, err
@@ -182,9 +182,6 @@ func SolveShared(sh *ssrp.Shared) (*Solution, error) {
 // worker count.
 func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error) {
 	g, sources, p := sh.G, sh.Sources, sh.Params
-	if err := checkPackable(g.NumVertices(), g.NumEdges()); err != nil {
-		return nil, err
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -196,9 +193,11 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 	for k := 0; k <= ctr.Levels.MaxK; k++ {
 		stats.CenterLevelSizes = append(stats.CenterLevelSizes, ctr.Levels.Size(k))
 	}
-	// The centers' hub table serves every source's G_s; it is a local,
-	// dropped when the solve returns.
+	// The centers' hub table serves every source's G_s and seed shard;
+	// it is a local, dropped when the solve returns. The seed cells are
+	// laid out up front, so each shard can address them.
 	ct := newHubTable(g.NumVertices(), ctr.List, ctr.Tree, ctr.Anc)
+	seed := newSeedRows(sh.List, ctr)
 
 	// Per-source builds (trees, §7.1 graphs, §8.1 graphs) and §8.2.1
 	// seed-shard enumeration. A source's shard depends only on that
@@ -215,7 +214,7 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 	// liveSeedPathBytes/peak track that high-water mark.
 	perSrc := make([]*ssrp.PerSource, len(sources))
 	scs := make([]*hubGraph, len(sources))
-	shards := make([]*cuckoo.Table, len(sources))
+	shards := make([][]seedOffer, len(sources))
 	var buildNanos, enumNanos, assembleNanos atomic.Int64
 	var liveSeedPathBytes, peakSeedPathBytes atomic.Int64
 	buildOne := func(i int, sc *engine.Scratch) {
@@ -230,7 +229,7 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 	}
 	enumerateOne := func(i int, sc *engine.Scratch) {
 		start := time.Now()
-		shards[i] = buildSeedShard(perSrc[i], ctr, sc)
+		shards[i] = buildSeedShard(perSrc[i], ctr, ct, seed, sc)
 		if perSrc[i].TrackPaths {
 			// The compact witness snapshot is taken between the shard
 			// enumeration (the last consumer of the full path state)
@@ -254,14 +253,13 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 	stats.StageSeedEnumerate = time.Duration(enumNanos.Load())
 	stats.PeakSeedPathBytes = peakSeedPathBytes.Load()
 
-	// The shard merge is the one cross-source barrier: MinPut is
-	// commutative and idempotent, so the merged contents are identical
-	// at any worker count, and the source-order fold fixes the layout.
+	// The shard merge is the one cross-source barrier: min is
+	// commutative and idempotent, so the merged cells are identical at
+	// any worker count.
 	mergeStart := time.Now()
-	seed, seedRehashes := mergeSeedShards(shards)
+	seed.merge(shards)
 	stats.StageSeedMerge = time.Since(mergeStart)
-	stats.SeedRehashes = seedRehashes
-	stats.SeedCount = seed.Len()
+	stats.SeedCount = seed.count
 
 	cl, err := buildCenterLandmark(ctx, sh, ctr, seed)
 	if err != nil {

@@ -317,9 +317,10 @@ func TestIntervalDecomposition(t *testing.T) {
 }
 
 func TestSeedTablePathsAreSound(t *testing.T) {
-	// Every seed entry (c, r, e) → w must be witnessed by an e-avoiding
-	// c→r walk of length w; verify against the brute-force distance in
-	// G − e (w must be ≥ it).
+	// Every finite seed cell (c, r, i) → w, with e the edge at index i
+	// of T_c's c→r path, must be witnessed by an e-avoiding c→r walk of
+	// length w; verify against the brute-force distance in G − e (w
+	// must be ≥ it).
 	rng := xrand.New(24)
 	g := graph.RandomConnected(rng, 40, 90)
 	sh, err := ssrp.NewShared(g, []int32{0, 5}, testParams(25))
@@ -333,24 +334,27 @@ func TestSeedTablePathsAreSound(t *testing.T) {
 		ps.BuildSmallNear()
 		perSrc = append(perSrc, ps)
 	}
-	seed, _, err := buildSeedTable(context.Background(), sh, perSrc, ctr)
+	seed, err := buildSeedTable(context.Background(), sh, perSrc, ctr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	count := 0
-	seed.Range(func(key uint64, w int32) bool {
-		c := int32(key >> (vertexBits + edgeBits))
-		r := int32(key>>edgeBits) & (maxVertex - 1)
-		e := int32(key & (maxEdge - 1))
-		truth := naive.OnePair(g, c, r, e)
-		if w < truth {
-			t.Errorf("seed (c=%d,r=%d,e=%d) = %d below truth %d", c, r, e, w, truth)
+	for ci, c := range ctr.List {
+		for k, r := range sh.List {
+			for i, w := range seed.row(int32(ci), int32(k)) {
+				if w >= rp.Inf || count == 500 { // cap the brute-force work
+					continue
+				}
+				e := ctr.Tree[c].EdgeAt(r, int32(i))
+				if truth := naive.OnePair(g, c, r, e); w < truth {
+					t.Errorf("seed (c=%d,r=%d,e=%d) = %d below truth %d", c, r, e, w, truth)
+				}
+				count++
+			}
 		}
-		count++
-		return count < 500 // cap the brute-force work
-	})
+	}
 	if count == 0 {
-		t.Fatal("seed table empty — no small paths enumerated?")
+		t.Fatal("seed cells empty — no small paths enumerated?")
 	}
 }
 

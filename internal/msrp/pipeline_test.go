@@ -132,7 +132,7 @@ func solveBarrier(t *testing.T, g *graph.Graph, sources []int32, par int) []*rp.
 		perSrc[i].BuildSmallNearScratch(sc)
 		scs[i] = buildSourceCenter(perSrc[i], ctr, ct, sc)
 	})
-	seed, _, err := buildSeedTable(context.Background(), sh, perSrc, ctr)
+	seed, err := buildSeedTable(context.Background(), sh, perSrc, ctr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package msrp
 import (
 	"fmt"
 
-	"msrp/internal/cuckoo"
 	"msrp/internal/rp"
 	"msrp/internal/ssrp"
 )
@@ -26,7 +25,7 @@ import (
 //     between seed-shard enumeration and ReleasePathState, and the §8.1
 //     G_s parent chains (the hub graph's auxProv);
 //  2. per center, the §8.2.2 G_c parent chains (auxProv again);
-//  3. the merged §8.2.1 seed table itself —
+//  3. the merged §8.2.1 seed cells themselves —
 //
 // and *explains* a value on demand: given the final LenSR[r][i], it
 // re-walks the assembly's candidate space (the §7.1 small value,
@@ -45,16 +44,16 @@ type Provenance struct {
 	perSrc []*ssrp.PerSource
 	scs    []*hubGraph
 	cl     *centerLandmark
-	// seed is the merged §8.2.1 table; the explain pass re-reads the
+	// seed holds the merged §8.2.1 cells; the explain pass re-reads the
 	// [c]→[r,e] arc weights of G_c from it.
-	seed *cuckoo.Table
+	seed *seedRows
 }
 
 // newProvenance bundles the retained artifacts after the pipeline
 // stages have run. It installs itself as every source's landmark-path
 // expander.
 func newProvenance(sh *ssrp.Shared, ctr *Centers, perSrc []*ssrp.PerSource,
-	scs []*hubGraph, cl *centerLandmark, seed *cuckoo.Table) *Provenance {
+	scs []*hubGraph, cl *centerLandmark, seed *seedRows) *Provenance {
 	pv := &Provenance{sh: sh, ctr: ctr, perSrc: perSrc, scs: scs, cl: cl, seed: seed}
 	for i := range perSrc {
 		si := i
@@ -225,24 +224,25 @@ func (pv *Provenance) expandSC(si int, c, e int32) ([]int32, error) {
 }
 
 // expandCR expands a d(c,r,e)-realizing walk (c … r) through the
-// §8.2.2 G_c parent chains; a [c]→[r,e] arc is a §8.2.1 seed entry, the
+// §8.2.2 G_c parent chains; a [c]→[r,e] arc is a §8.2.1 seed cell, the
 // c … r suffix of some source's small path through c.
 func (pv *Provenance) expandCR(c, r, e int32) ([]int32, error) {
-	return pv.cl.at(c).path(r, e, func(r, _, e int32) ([]int32, error) {
-		w, ok := pv.seed.Get(packCRE(c, r, e))
+	ci := pv.ctr.Index(c)
+	return pv.cl.at(c).path(r, e, func(r, i, e int32) ([]int32, error) {
+		w, ok := pv.seed.Get(ci, pv.cl.lmIdx[r], i)
 		if !ok {
-			return nil, fmt.Errorf("msrp: G_c seed arc (%d,%d,%d) missing from the seed table", c, r, e)
+			return nil, fmt.Errorf("msrp: G_c seed arc (%d,%d,%d) has no seed cell", c, r, e)
 		}
 		return pv.seedSuffix(c, r, e, w)
 	})
 }
 
 // seedSuffix locates a source whose §7.1 small path to landmark r
-// realizes the seed entry (c, r, e) → w — the path passes c exactly w
-// hops before r — and returns that c … r suffix. The seed table stores
-// only the minimum; the realizing source is recovered by scanning the
+// realizes the seed cell (c, r, e) → w — the path passes c exactly w
+// hops before r — and returns that c … r suffix. The cell stores only
+// the minimum; the realizing source is recovered by scanning the
 // retained snapshots with the same enumeration rules buildSeedShard
-// used, so an entry always has a witness among them.
+// used, so a finite cell always has a witness among them.
 func (pv *Provenance) seedSuffix(c, r, e int32, w int32) ([]int32, error) {
 	g := pv.sh.G
 	for _, ps2 := range pv.perSrc {
@@ -267,7 +267,7 @@ func (pv *Provenance) seedSuffix(c, r, e int32, w int32) ([]int32, error) {
 			return path[pos:], nil
 		}
 	}
-	return nil, fmt.Errorf("msrp: no source path realizes seed entry (%d,%d,%d)=%d", c, r, e, w)
+	return nil, fmt.Errorf("msrp: no source path realizes seed cell (%d,%d,%d)=%d", c, r, e, w)
 }
 
 // appendLeg joins a walk ending at v with a canonical leg starting at

@@ -384,8 +384,9 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, server.QueryResponse{Error: `empty batch: "queries" must contain at least one item`})
 		return
 	}
-	if req.DeadlineMillis < 0 {
-		writeJSON(w, http.StatusBadRequest, server.QueryResponse{Error: "deadlineMillis must be non-negative"})
+	deadline, err := req.Deadline()
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, server.QueryResponse{Error: err.Error()})
 		return
 	}
 	release, ok := rt.acquire()
@@ -414,10 +415,8 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// the replica as its own compute deadline.
 	start := time.Now()
 	batchBudget := rt.cfg.BatchDeadline
-	if req.DeadlineMillis > 0 {
-		if d := time.Duration(req.DeadlineMillis) * time.Millisecond; d < batchBudget {
-			batchBudget = d
-		}
+	if deadline > 0 && deadline < batchBudget {
+		batchBudget = deadline
 	}
 	itemBudget := rt.cfg.ItemDeadline
 	if itemBudget > batchBudget {

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -414,6 +415,41 @@ func TestPerItemDeadline(t *testing.T) {
 		t.Fatalf("routeErrors counter = %d, want %d", st.Router.RouteErrors, failed)
 	}
 	fl.faults[stalled].set("")
+}
+
+// TestDeadlineMillisRange: the router rejects a declared budget outside
+// [0, server.MaxDeadlineMillis] with 400 before admission, as the
+// replica does, instead of overflowing a huge one into a negative
+// duration that fails every item at once; the largest budget is served.
+func TestDeadlineMillisRange(t *testing.T) {
+	fl := newFleet(t, 1)
+	rt := newTestRouter(t, fl, nil)
+	items, want := fl.batch(t)
+	for _, tc := range []struct {
+		ms   int64
+		want int
+	}{
+		{-1, http.StatusBadRequest},
+		{math.MaxInt64, http.StatusBadRequest},
+		{server.MaxDeadlineMillis + 1, http.StatusBadRequest},
+		{server.MaxDeadlineMillis, http.StatusOK},
+	} {
+		rec, resp := postQuery(t, rt, server.QueryRequest{Queries: items, DeadlineMillis: tc.ms})
+		if rec.Code != tc.want {
+			t.Fatalf("deadlineMillis %d = %d, want %d (body %s)", tc.ms, rec.Code, tc.want, rec.Body)
+		}
+		if tc.want != http.StatusOK {
+			continue
+		}
+		for i, a := range resp.Answers {
+			if a.RouteError != "" || a.Error != "" || a.Length != want[i] {
+				t.Fatalf("deadlineMillis %d: item %d = %+v, want length %d", tc.ms, i, a, want[i])
+			}
+		}
+	}
+	if st := routerStats(t, rt); st.Router.Batches != 1 {
+		t.Fatalf("router admitted %d batches, want only the valid one", st.Router.Batches)
+	}
 }
 
 // TestRetryAfterAggregation: when every replica rejects, the router

@@ -6,6 +6,7 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -158,5 +159,25 @@ func TestDeadlineMillisEnforced(t *testing.T) {
 	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("generous deadline = %d, want 200 (body %s)", rec.Code, rec.Body)
+	}
+
+	// A budget past the largest duration is a 400, not an overflow into
+	// a negative duration that expires at once (a 504); the largest one
+	// is served.
+	for _, tc := range []struct {
+		ms   int64
+		want int
+	}{
+		{math.MaxInt64, http.StatusBadRequest},
+		{MaxDeadlineMillis + 1, http.StatusBadRequest},
+		{MaxDeadlineMillis, http.StatusOK},
+	} {
+		rec = postJSON(t, srv, "/v1/query", QueryRequest{
+			Queries:        []QueryItem{{Source: 0, Target: 100, U: 0, V: 1}},
+			DeadlineMillis: tc.ms,
+		})
+		if rec.Code != tc.want {
+			t.Fatalf("deadlineMillis %d = %d, want %d (body %s)", tc.ms, rec.Code, tc.want, rec.Body)
+		}
 	}
 }

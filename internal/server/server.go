@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"sync/atomic"
@@ -257,6 +258,22 @@ type QueryRequest struct {
 	DeadlineMillis int64       `json:"deadlineMillis,omitempty"`
 }
 
+// MaxDeadlineMillis is the largest DeadlineMillis a batch may declare:
+// the most whole milliseconds a time.Duration holds (about 292 years).
+const MaxDeadlineMillis = math.MaxInt64 / int64(time.Millisecond)
+
+// Deadline returns DeadlineMillis as a duration, 0 when the batch
+// declares none. A value outside [0, MaxDeadlineMillis] is an error,
+// which the server and the router both answer with 400 before
+// admission: a negative budget is meaningless, and a larger one would
+// overflow the conversion to a negative duration that expires at once.
+func (q *QueryRequest) Deadline() (time.Duration, error) {
+	if q.DeadlineMillis < 0 || q.DeadlineMillis > MaxDeadlineMillis {
+		return 0, fmt.Errorf("deadlineMillis must be in [0, %d]", MaxDeadlineMillis)
+	}
+	return time.Duration(q.DeadlineMillis) * time.Millisecond, nil
+}
+
 // AnswerItem is one answer on the wire. NoPath marks the avoided edge
 // as a bridge (Length is then meaningless); Error marks a malformed
 // query (unknown source, missing edge, edge off the canonical path, or
@@ -321,8 +338,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, QueryResponse{Error: `empty batch: "queries" must contain at least one item`})
 		return
 	}
-	if req.DeadlineMillis < 0 {
-		writeJSON(w, http.StatusBadRequest, QueryResponse{Error: "deadlineMillis must be non-negative"})
+	deadline, err := req.Deadline()
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, QueryResponse{Error: err.Error()})
 		return
 	}
 
@@ -342,9 +360,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// a batch the caller has given up on instead of computing into the
 	// void. The engine observes the context between per-source builds.
 	ctx := r.Context()
-	if req.DeadlineMillis > 0 {
+	if deadline > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMillis)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, deadline)
 		defer cancel()
 	}
 	answers, err := s.oracle.QueryBatchContext(ctx, queries)

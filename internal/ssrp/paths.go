@@ -110,9 +110,5 @@ func (ps *PerSource) reconstructVia(r, t int32, i int) ([]int32, error) {
 // (O(depth) walk; reconstruction is an on-demand operation). Exposed
 // for the multi-source provenance plane, which shares the indexing.
 func (ps *PerSource) EdgeAt(t int32, i int) int32 {
-	x := t
-	for d := int(ps.Ts.Dist[t]) - 1; d > i; d-- {
-		x = ps.Ts.Parent[x]
-	}
-	return ps.Ts.ParentEdge[x]
+	return ps.Ts.EdgeAt(t, int32(i))
 }

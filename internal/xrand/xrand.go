@@ -118,8 +118,9 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// Mix applies the splitmix64 finalizer to x. It is a high-quality 64-bit
-// hash usable for hash tables (see internal/cuckoo).
+// Mix applies the splitmix64 finalizer to x: a high-quality 64-bit
+// hash, used to derive independent seeds from one (internal/load gives
+// each client its own query stream this way).
 func Mix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
