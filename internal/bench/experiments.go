@@ -472,15 +472,14 @@ func RunE8(w io.Writer, cfg Config) error {
 }
 
 // RunE9 — auxiliary graph sizes against the paper's formulas: §7.1
-// arcs = Õ(m√(n/σ)) (capped by m·diam), §8.1 nodes = Õ(n) per source,
-// §8.2 arcs = Õ(σn²) total.
+// arcs = Õ(m√(n/σ)) (capped by m·diam), §8.2 arcs = Õ(σn²) total.
 func RunE9(w io.Writer, cfg Config) error {
 	configs := [][2]int{{600, 1}, {600, 4}, {1200, 1}, {1200, 4}}
 	if cfg.Quick {
 		configs = [][2]int{{300, 1}, {300, 4}}
 	}
 	t := NewTable("E9: auxiliary graph sizes + seed cells",
-		"n", "sigma", "small_nodes", "small_arcs", "sc_nodes", "sc_arcs",
+		"n", "sigma", "small_nodes", "small_arcs",
 		"cl_nodes", "cl_arcs", "σn²", "seed_cells")
 	for _, c := range configs {
 		n, sigma := c[0], c[1]
@@ -495,7 +494,7 @@ func RunE9(w io.Writer, cfg Config) error {
 		}
 		stats := sol.Stats
 		t.Row(n, sigma, stats.AuxNodes, stats.AuxArcs,
-			stats.SCNodes, stats.SCArcs, stats.CLNodes, stats.CLArcs,
+			stats.CLNodes, stats.CLArcs,
 			int64(sigma)*int64(n)*int64(n), stats.SeedCount)
 	}
 	t.Print(w)

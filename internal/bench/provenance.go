@@ -17,11 +17,11 @@ import (
 // (PeakSeedPathBytes — unchanged by tracking, the snapshot is taken
 // between seed enumeration and release), and the *retained*
 // ProvenanceBytes the tracked solve pays for reconstruction (witness
-// snapshots + answer provenance + §8.1/§8.2.2 parent chains + the seed
-// table). The final column is the retained-to-peak ratio: what serving
-// concrete paths costs relative to the memory the pipelined schedule
-// worked to shed. A sample of reconstructed paths is machine-verified
-// as part of the run.
+// snapshots + answer provenance + §8.1 center rows and witnesses +
+// §8.2.2 parent chains + the seed table). The final column is the
+// retained-to-peak ratio: what serving concrete paths costs relative
+// to the memory the pipelined schedule worked to shed. A sample of
+// reconstructed paths is machine-verified as part of the run.
 func RunE15(w io.Writer, cfg Config) error {
 	n, chords := 600, 120
 	if cfg.Quick {

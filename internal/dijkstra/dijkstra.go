@@ -1,5 +1,5 @@
 // Package dijkstra runs Dijkstra's algorithm over the weighted directed
-// auxiliary graphs the paper constructs in §7.1, §8.1 and §8.2.2.
+// auxiliary graphs the paper constructs in §7.1 and §8.2.2.
 //
 // Auxiliary graphs are built once, run once, and discarded, so the
 // representation is a freshly compacted CSR of arcs with int64
@@ -41,8 +41,8 @@ func NewBuilder(n, arcHint int) *Builder {
 
 // Reset reinitializes the builder for a graph on n nodes, keeping the
 // arc arrays' capacity. Workers that build one auxiliary graph per item
-// (internal/msrp's §8.1/§8.2.2 stages) reset a per-worker builder
-// instead of allocating a new one per item.
+// (the §7.1 builds and §8.2.2 solves of internal/msrp's stages) reset a
+// per-worker builder instead of allocating a new one per item.
 func (b *Builder) Reset(n int) {
 	b.n = n
 	b.from = b.from[:0]
@@ -113,9 +113,9 @@ func (b *Builder) finalizeInto(g *Graph, cursor []int32) *Graph {
 
 // FinalizeScratch is Finalize with the CSR arrays carved from an
 // engine scratch, valid only until the scratch's next Reset. It serves
-// the build-run-discard pattern of the §8.1/§8.2.2 auxiliary stages,
-// which otherwise heap-allocate Θ(nodes + arcs) per item just to throw
-// the graph away after one Run. A nil scratch falls back to Finalize.
+// the build-run-discard pattern of the §7.1 and §8.2.2 auxiliary
+// stages, which otherwise heap-allocate Θ(nodes + arcs) per item just to
+// throw the graph away after one Run. A nil scratch falls back to Finalize.
 func (b *Builder) FinalizeScratch(sc *engine.Scratch) *Graph {
 	if sc == nil {
 		return b.Finalize()
@@ -161,8 +161,8 @@ const heapKey = "dijkstra.heap"
 
 // RunScratch is Run with the Dist/Parent arrays carved from an engine
 // scratch — for callers that copy what they need out of the Result
-// before the scratch's next Reset (the §8.1/§8.2.2 stages, which
-// extract a handful of rows from a Θ(nodes) result) — and the heap
+// before the scratch's next Reset (the §8.2.2 stage, which extracts a
+// handful of rows from a Θ(nodes) result) — and the heap
 // kept per worker across runs. That heap only grows by Push, to the
 // largest frontier a worker has seen, rather than being presized to
 // the node count. A nil scratch falls back to Run.

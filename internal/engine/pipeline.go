@@ -4,8 +4,8 @@ import "context"
 
 // Cross-stage pipeline scheduling.
 //
-// The repository's multi-stage fan-outs (the MSRP solve's §8.1
-// per-source builds followed by the §8.2.1 seed-shard enumeration) have
+// The repository's multi-stage fan-outs (the MSRP solve's per-source
+// builds followed by the §8.2.1 seed-shard enumeration) have
 // a dependency structure stricter than "n independent items" but looser
 // than "stage barrier": item i's stage B needs item i's stage A, and
 // nothing else. Running the stages as two Run calls inserts a barrier

@@ -28,7 +28,7 @@ import (
 // sweepLandmarks, which re-run the far/near candidate machinery over
 // landmark targets until the mutual recursion between landmark values
 // stabilizes.
-func assembleLenSR(ps *ssrp.PerSource, ctr *Centers, sc *hubGraph, cl *centerLandmark, scr *engine.Scratch) map[int32][]int32 {
+func assembleLenSR(ps *ssrp.PerSource, ctr *Centers, cr *centerRows, cl *centerLandmark, scr *engine.Scratch) map[int32][]int32 {
 	sh := ps.Sh
 	ts := ps.Ts
 	lenSR := make(map[int32][]int32, len(sh.List))
@@ -46,7 +46,7 @@ func assembleLenSR(ps *ssrp.PerSource, ctr *Centers, sc *hubGraph, cl *centerLan
 		path := ts.PathInto(pathBuf, r)
 		edges := ts.PathEdgesInto(edgeBuf, r)
 		boundaries := ctr.intervalsOn(path)
-		row := computeMTCRow(ps, ctr, sc, cl, r, path, edges, boundaries)
+		row := computeMTCRow(ps, ctr, cr, cl, r, path, edges, boundaries)
 
 		// Per-interval one-hop avoidance plus the §7.1 small values.
 		for q := 0; q+1 < len(boundaries); q++ {
@@ -69,8 +69,9 @@ func assembleLenSR(ps *ssrp.PerSource, ctr *Centers, sc *hubGraph, cl *centerLan
 // computeMTCRow fills MTC(s,r,·) for every edge of the sr path: per
 // interval of the decomposition, term1 through its left center c1
 // (|sc1| + d(c1,r,e) from §8.2.2's G_c) and term2 through its right
-// center c2 (d(s,c2,e) from §8.1's G_s, plus |c2r|).
-func computeMTCRow(ps *ssrp.PerSource, ctr *Centers, sc *hubGraph, cl *centerLandmark,
+// center c2 (d(s,c2,e) from §8.1's center rows, plus |c2r|). e_i lies
+// on the s→c2 prefix of the path, so d(s,c2,e_i) is c2's row at i.
+func computeMTCRow(ps *ssrp.PerSource, ctr *Centers, cr *centerRows, cl *centerLandmark,
 	r int32, path []int32, edges []int32, boundaries []int32) []int32 {
 	ts := ps.Ts
 	l := len(edges)
@@ -81,25 +82,21 @@ func computeMTCRow(ps *ssrp.PerSource, ctr *Centers, sc *hubGraph, cl *centerLan
 	for q := 0; q+1 < len(boundaries); q++ {
 		lo, hi := boundaries[q], boundaries[q+1]
 		c1 := path[lo]
-		c2 := path[hi]
 		gc1 := cl.at(c1)
-		lastInterval := int(hi) == l
+		// No term2 on the terminal interval (c2 = r would be circular).
+		var row2 []int32
+		var dcr int32
+		if int(hi) < l {
+			c2 := path[hi]
+			row2, dcr = cr.lens[c2], ctr.Tree[c2].Dist[r]
+		}
 		for i := lo; i < hi; i++ {
-			e := edges[i]
 			best := rp.Inf
-			if d1 := gc1.dist(r, e); d1 < rp.Inf {
-				if cand := ts.Dist[c1] + d1; cand < best {
-					best = cand
-				}
+			if d1 := gc1.dist(r, edges[i]); d1 < rp.Inf {
+				best = min(best, ts.Dist[c1]+d1)
 			}
-			if !lastInterval {
-				if d2 := sc.dist(c2, e); d2 < rp.Inf {
-					if dcr := ctr.Tree[c2].Dist[r]; dcr >= 0 {
-						if cand := d2 + dcr; cand < best {
-							best = cand
-						}
-					}
-				}
+			if row2 != nil && row2[i] < rp.Inf {
+				best = min(best, row2[i]+dcr)
 			}
 			row[i] = best
 		}

@@ -262,12 +262,11 @@ func buildCenterLandmark(ctx context.Context, sh *ssrp.Shared, ctr *Centers, see
 
 // spec describes center c's G_c over the landmarks' hub table lt.
 func (cl *centerLandmark) spec(sh *ssrp.Shared, c int32, lt *hubTable, seed seedReader) hubSpec {
-	ci, budget := cl.ctr.Index(c), cl.ctr.Budget(cl.ctr.Priority(c))
 	return hubSpec{
 		g: sh.G, anc: cl.ctr.Anc[c],
 		hubs: sh.List, pos: cl.lmIdx, table: lt, hubTree: sh.Tree,
-		window: func(_, l int32) (int32, int32) { return 0, min(budget, l) },
-		seed:   func(r, i, _ int32) (int32, bool) { return seed.Get(ci, cl.lmIdx[r], i) },
-		track:  sh.Params.TrackPaths,
+		budget: cl.ctr.Budget(cl.ctr.Priority(c)),
+		seed:   seed, ci: cl.ctr.Index(c),
+		track: sh.Params.TrackPaths,
 	}
 }

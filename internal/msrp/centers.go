@@ -2,6 +2,7 @@ package msrp
 
 import (
 	"msrp/internal/bfs"
+	"msrp/internal/classic"
 	"msrp/internal/lca"
 	"msrp/internal/sample"
 	"msrp/internal/ssrp"
@@ -22,17 +23,49 @@ type Centers struct {
 	Anc  map[int32]*lca.Ancestry
 
 	// budget[k] is the paper's ℓ·2^k·X edge budget for priority-k
-	// centers: §8.1 computes d(s,c,e) only for the last budget(k) edges
-	// of the s→c path, §8.2 computes d(c,r,e) only for the first
-	// budget(k) edges of the c→r path. Lemma 18 guarantees (w.h.p.)
-	// that the edges the assembly actually needs fall inside.
+	// centers: §8.2 computes d(c,r,e) only for the first budget(k) edges
+	// of the c→r path. Lemma 18 guarantees (w.h.p.) that the edges the
+	// assembly actually needs fall inside. (The paper bounds §8.1's
+	// d(s,c,e) to the last budget(k) edges of the s→c path too;
+	// buildCenterRows computes every edge's value in one pass.)
 	budget []int32
 
 	// index maps a vertex id to its position in List (-1 for
 	// non-centers): it picks a center's G_c out of the §8.2.2 fan-out
-	// and a center's row out of every §8.1 G_s (the hub graph's dense
-	// per-hub slots).
+	// and a center's block out of the §8.2.1 seed cells.
 	index []int32
+}
+
+// centerRows is §8.1's output for one source s: lens[c][i] = d(s,c,e_i)
+// for every center c ≠ s reachable from s and every edge e_i of the
+// canonical s→c path, and under Params.TrackPaths wits[c][i], that
+// cell's crossing-edge witness (nil otherwise). The paper obtains
+// these values from an auxiliary graph G_s (Lemma 20); they are the
+// same replacement rows the single-source pipeline computes for its
+// landmarks, so one classic.Rows pass over T_s gives them exactly.
+type centerRows struct {
+	lens map[int32][]int32
+	wits map[int32][]classic.Witness
+}
+
+// buildCenterRows fills source ps.S's center rows with one classic.Rows
+// pass over T_s.
+func buildCenterRows(ps *ssrp.PerSource, ctr *Centers) *centerRows {
+	lens, wits := ps.FillRows(ctr.List, ctr.Tree)
+	return &centerRows{lens: lens, wits: wits}
+}
+
+// bytes returns the rows' retained footprint: 4 bytes per cell and 8
+// per witness (Rows backs each set with one array).
+func (cr *centerRows) bytes() int64 {
+	var b int64
+	for _, row := range cr.lens {
+		b += 4 * int64(len(row))
+	}
+	for _, ws := range cr.wits {
+		b += 8 * int64(len(ws))
+	}
+	return b
 }
 
 // budgetFactor is the paper's "suitably chosen constant ℓ ≥ 2". The

@@ -11,12 +11,13 @@ import (
 // Post-solve provenance compaction.
 //
 // The full Provenance plane retains everything the explain walk *might*
-// consult: the §8.1/§8.2.2 parent chains of every auxiliary node, the
-// merged seed table, and the center forest — E15 measured it at ~1,000×
-// the transient solve peak. But the walk's job is a search: for each
-// finite LenSR[r][i] it scans the candidate space until one candidate
-// achieves the value exactly. That search is deterministic, so its
-// outcome can be recorded once and the search space dropped.
+// consult: the §8.1 center rows and witnesses, the §8.2.2 parent chains
+// of every auxiliary node, the merged seed table, and the center forest
+// — E15 measured it at ~1,000× the transient solve peak. But the walk's
+// job is a search: for each finite LenSR[r][i] it scans the candidate
+// space until one candidate achieves the value exactly. That search is
+// deterministic, so its outcome can be recorded once and the search
+// space dropped.
 //
 // CompactProv is that record — one entry per finite LenSR value, laid
 // out as parallel arrays over the rows in sorted-landmark order:
@@ -31,15 +32,16 @@ import (
 //	            recursive call expandLenSR(si, r2, i, e, d2, …) has
 //	            d2 = LenSR[r2][i] and e = EdgeAt(r2, i) — e is on the
 //	            canonical s→r2 path with the same shared-prefix index i
-//	            (the DSR index identity), so the compact entry at
+//	            (the RowDist index identity), so the compact entry at
 //	            (r2, i) was built from a top-level walk with identical
 //	            arguments, and every finite entry is compacted. Values
 //	            strictly decrease along the chain (|r2 r| > 0), so the
 //	            recursion terminates.
-//	cPath     — an MTC term won. Its expansion threads through the G_s
-//	            or G_c parent chains, the seed table, and the center
-//	            forest — all dropped by compaction — so the concrete
-//	            walk is stored verbatim in the arena.
+//	cPath     — an MTC term won. Its expansion threads through the
+//	            center rows' witnesses or the G_c parent chains, the
+//	            seed table, and the center forest — all dropped by
+//	            compaction — so the concrete walk is stored verbatim in
+//	            the arena.
 //
 // Expansion against the compact form reproduces the raw walk's output
 // bit for bit: cSmall/cViaCanon/cViaChain rebuild the identical
@@ -205,8 +207,9 @@ func (cp *CompactProv) Bytes() int64 {
 // per-source compact records: every finite LenSR entry of every source
 // is re-walked once (in parallel over sources), validated, and its
 // winner recorded; then each source's landmark-path expander is
-// repointed at its compact record and the full plane — parent chains,
-// seed table, center forest — is released to the collector.
+// repointed at its compact record and the full plane — center rows,
+// parent chains, seed table, center forest — is released to the
+// collector.
 // Stats.ProvenanceBytes is recomputed to the post-compaction footprint.
 //
 // No-op when the solve did not track paths. On error the full plane

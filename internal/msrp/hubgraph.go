@@ -13,11 +13,12 @@ import (
 	"msrp/internal/ssrp"
 )
 
-// The hub graph is the one auxiliary-graph construction behind §8.1's
-// G_s (Lemma 20) and §8.2.2's G_c (Lemmas 21–22): a root x, hubs h
-// reached from x by their canonical (T_x) paths, and per hub a window
-// of covered edges of that path. One Dijkstra from [x] yields d(x,h,e)
-// for every hub h and every edge e in h's window.
+// The hub graph is §8.2.2's auxiliary graph G_c (Lemmas 21–22): a
+// root x (the center c), hubs h (the landmarks) reached from x by their
+// canonical (T_x) paths, and per hub a window of covered edges: the
+// first min(Budget(priority(c)), |xh|) edges of that path. One Dijkstra
+// from [x] yields d(x,h,e) for every hub h and every edge e in h's
+// window.
 //
 // Node space: [x] (node 0), [h] per hub, [h,e] per covered (hub, edge)
 // pair. Arc types, each a sound e-avoiding-walk extension:
@@ -29,14 +30,11 @@ import (
 //
 // The shared-prefix identity applies: an edge e of T_x on both the x→h
 // and x→h' canonical paths has the same 0-based index i on both, so
-// [h',e] sits in the block of h' at i minus its first covered index.
+// [h',e] is node i of h′'s block. Every window starts at index 0.
 //
-// §8.1 (buildSourceCenter) roots G_s at source s over the centers,
-// covering the last Budget(priority(c)) edges of each s→c path and
-// seeding with the §7.1 small values; §8.2.2 (buildCenterLandmark)
-// roots G_c at center c over the landmarks, covering the first
-// Budget(priority(c)) edges of each c→r path and seeding with the
-// §8.2.1 table.
+// buildCenterLandmark solves one G_c per center, seeding the [x]→[h,e]
+// arcs with the §8.2.1 cells. §8.1's d(s,c,e) comes from one
+// classic.Rows pass per source instead (buildCenterRows).
 type hubSpec struct {
 	g   *graph.Graph
 	anc *lca.Ancestry // ancestry of the root's canonical tree T_x
@@ -50,12 +48,13 @@ type hubSpec struct {
 	table   *hubTable
 	hubTree map[int32]*bfs.Tree
 
-	// window returns the covered index range [lo, hi) of the canonical
-	// x→h path of length l.
-	window func(h, l int32) (lo, hi int32)
-	// seed returns the [x]→[h,e] arc weight for the covered edge e at
-	// index i, if there is one.
-	seed func(h, i, e int32) (int32, bool)
+	// budget caps every window: hub h covers the first min(budget, |xh|)
+	// edges of the x→h path.
+	budget int32
+	// seed.Get(ci, k, i) is the [x]→[h,e] arc weight for the k-th hub and
+	// the covered edge at index i, ci being the root's center position.
+	seed seedReader
+	ci   int32
 	// track retains the parent chains (auxProv) for path expansion.
 	track bool
 }
@@ -71,8 +70,8 @@ type hubCell struct {
 // vertex-major cells: row(v)[j] is v in the tree of the family's j-th
 // hub. The hub-graph arc loop reads one vertex across every hub tree,
 // so each such read is one contiguous row. A solve builds one table per
-// family (the centers for G_s, the landmarks for G_c) and drops it when
-// it returns.
+// family (the landmarks for G_c, the centers for the §8.2.1 seed
+// shards) and drops it when it returns.
 type hubTable struct {
 	k     int // hubs per row
 	cells []hubCell
@@ -100,9 +99,9 @@ func (ht *hubTable) row(v int32) []hubCell {
 
 // hubSlot is one hub's place in the node space: its [h] node (-1 for
 // the root and for hubs T_x does not reach, which get no nodes), the
-// first node of its [h,e] block and its covered index range [lo, hi).
+// first node of its [h,e] block and its window's length hi.
 type hubSlot struct {
-	node, base, lo, hi int32
+	node, base, hi int32
 }
 
 // hubGraph is a solved hub graph: dense per-hub rows of d(x,h,e), the
@@ -113,10 +112,9 @@ type hubGraph struct {
 	pos     []int32
 	hubTree map[int32]*bfs.Tree
 
-	// rows[k][i−start[k]] = d(x, hubs[k], e_i) for every covered index
-	// i of hub hubs[k]; nil for non-hubs (the root, unreachable hubs).
-	start []int32
-	rows  [][]int32
+	// rows[k][i] = d(x, hubs[k], e_i) for every covered index i of hub
+	// hubs[k]; nil for non-hubs (the root, unreachable hubs).
+	rows [][]int32
 
 	// prov retains the parent chains and node decode tables under
 	// hubSpec.track, so path can expand a row value into the concrete
@@ -152,16 +150,16 @@ func solveHubGraph(spec hubSpec, scr *engine.Scratch) *hubGraph {
 	}
 	for j, h := range spec.hubs {
 		if sl := &slots[j]; sl.node >= 0 {
-			sl.lo, sl.hi = spec.window(h, tree.Dist[h])
+			sl.hi = min(spec.budget, tree.Dist[h])
 			sl.base = next
-			next += sl.hi - sl.lo
+			next += sl.hi
 		}
 	}
 	// covered visits the T_x child vertex c of every covered edge on
 	// hub j's path: c sits at depth i+1 for the edge at index i.
 	covered := func(j int, visit func(c int32)) {
 		sl := slots[j]
-		for c, d := spec.hubs[j], tree.Dist[spec.hubs[j]]; d > sl.lo; c, d = tree.Parent[c], d-1 {
+		for c, d := spec.hubs[j], tree.Dist[spec.hubs[j]]; d > 0; c, d = tree.Parent[c], d-1 {
 			if d <= sl.hi {
 				visit(c)
 			}
@@ -221,8 +219,8 @@ func solveHubGraph(spec hubSpec, scr *engine.Scratch) *hubGraph {
 				continue
 			case cin > xs[j][0] || xs[j][1] > cout: // e ∉ xh_j
 				vj.src = sl.node
-			case i >= sl.lo && i < sl.hi:
-				vj.src = sl.base + (i - sl.lo)
+			case i < sl.hi:
+				vj.src = sl.base + i
 			default:
 				vj.src = -1
 				continue
@@ -237,12 +235,11 @@ func solveHubGraph(spec hubSpec, scr *engine.Scratch) *hubGraph {
 			}
 		}
 		for _, m := range bucket {
-			h, sl := spec.hubs[m], slots[m]
-			node := sl.base + (i - sl.lo)
-			if w, ok := spec.seed(h, i, e); ok {
+			node := slots[m].base + i
+			if w, ok := spec.seed.Get(spec.ci, m, i); ok {
 				bld.AddArc(0, node, w)
 			}
-			row := spec.table.row(h)
+			row := spec.table.row(spec.hubs[m])
 			for j, vj := range via {
 				if vj.src < 0 || j == int(m) {
 					continue
@@ -265,7 +262,6 @@ func finishHubGraph(spec hubSpec, slots []hubSlot, bld *dijkstra.Builder, scr *e
 	total := bld.NumNodes()
 	hg := &hubGraph{
 		g: spec.g, anc: spec.anc, pos: spec.pos, hubTree: spec.hubTree,
-		start: make([]int32, len(spec.hubs)),
 		rows:  make([][]int32, len(spec.hubs)),
 		nodes: total,
 		arcs:  bld.NumArcs(),
@@ -278,7 +274,7 @@ func finishHubGraph(spec hubSpec, slots []hubSlot, bld *dijkstra.Builder, scr *e
 	for _, sl := range slots {
 		if sl.node >= 0 {
 			placed++
-			cells += sl.hi - sl.lo
+			cells += sl.hi
 		}
 	}
 	backing := make([]int32, cells)
@@ -286,12 +282,12 @@ func finishHubGraph(spec hubSpec, slots []hubSlot, bld *dijkstra.Builder, scr *e
 		if sl.node < 0 {
 			continue
 		}
-		row := backing[: sl.hi-sl.lo : sl.hi-sl.lo]
-		backing = backing[sl.hi-sl.lo:]
-		for off := range row {
-			row[off] = int32(min(res.Dist[sl.base+int32(off)], int64(rp.Inf)))
+		row := backing[:sl.hi:sl.hi]
+		backing = backing[sl.hi:]
+		for i := range row {
+			row[i] = int32(min(res.Dist[sl.base+int32(i)], int64(rp.Inf)))
 		}
-		hg.start[j], hg.rows[j] = sl.lo, row
+		hg.rows[j] = row
 	}
 	if spec.track {
 		ap := &auxProv{
@@ -299,7 +295,6 @@ func finishHubGraph(spec hubSpec, slots []hubSlot, bld *dijkstra.Builder, scr *e
 			nodeOwn: make([]int32, total),
 			nodeIdx: make([]int32, total),
 			base:    make(map[int32]int32, placed),
-			start:   make(map[int32]int32, placed),
 		}
 		ap.nodeOwn[0], ap.nodeIdx[0] = -1, -1
 		for j, sl := range slots {
@@ -308,10 +303,10 @@ func finishHubGraph(spec hubSpec, slots []hubSlot, bld *dijkstra.Builder, scr *e
 			}
 			h := spec.hubs[j]
 			ap.nodeOwn[sl.node], ap.nodeIdx[sl.node] = h, -1
-			ap.base[h], ap.start[h] = sl.base, sl.lo
-			for i := sl.lo; i < sl.hi; i++ {
-				ap.nodeOwn[sl.base+(i-sl.lo)] = h
-				ap.nodeIdx[sl.base+(i-sl.lo)] = i
+			ap.base[h] = sl.base
+			for i := range sl.hi {
+				ap.nodeOwn[sl.base+i] = h
+				ap.nodeIdx[sl.base+i] = i
 			}
 		}
 		hg.prov = ap
@@ -319,40 +314,12 @@ func finishHubGraph(spec hubSpec, slots []hubSlot, bld *dijkstra.Builder, scr *e
 	return hg
 }
 
-// buildSourceCenter solves §8.1's G_s for one source s: d(s, c, e) for
-// every center c and every edge e among the last Budget(priority(c))
-// edges of the canonical s→c path (the edges "nearest c", the only ones
-// the MTC assembly ever queries — Lemma 18/20), seeded with the §7.1
-// small values. ct is the center family's hub table.
-func buildSourceCenter(ps *ssrp.PerSource, ctr *Centers, ct *hubTable, scr *engine.Scratch) *hubGraph {
-	return solveHubGraph(sourceCenterSpec(ps, ctr, ct), scr)
-}
-
-// sourceCenterSpec describes source ps.S's G_s.
-func sourceCenterSpec(ps *ssrp.PerSource, ctr *Centers, ct *hubTable) hubSpec {
-	return hubSpec{
-		g: ps.Sh.G, anc: ps.AncS,
-		hubs: ctr.List, pos: ctr.index, table: ct, hubTree: ctr.Tree,
-		window: func(c, l int32) (int32, int32) {
-			return max(0, l-ctr.Budget(ctr.Priority(c))), l
-		},
-		seed: func(c, i, _ int32) (int32, bool) {
-			w := ps.Small.Value(c, int(i))
-			return w, w < rp.Inf
-		},
-		track: ps.TrackPaths,
-	}
-}
-
-// dist returns d(x, h, e) for a graph edge e: 0 at the root, the
-// canonical |xh| when e is off the x→h path, the solved value when e is
+// dist returns d(x, h, e) for a graph edge e: the canonical |xh| when
+// e is off the x→h path (0 at the root), the solved value when e is
 // covered, rp.Inf when h is unreachable or e lies outside h's window
 // (the lemmas make that case irrelevant w.h.p.).
 func (hg *hubGraph) dist(h, e int32) int32 {
 	tree := hg.anc.Tree()
-	if h == tree.Root {
-		return 0
-	}
 	if !tree.Reachable(h) {
 		return rp.Inf
 	}
@@ -365,21 +332,19 @@ func (hg *hubGraph) dist(h, e int32) int32 {
 		return rp.Inf
 	}
 	// e's index on the x→h path is depth(child)−1 in T_x.
-	off := tree.Dist[child] - 1 - hg.start[k]
-	if off < 0 || off >= int32(len(hg.rows[k])) {
+	i := tree.Dist[child] - 1
+	if i >= int32(len(hg.rows[k])) {
 		return rp.Inf
 	}
-	return hg.rows[k][off]
+	return hg.rows[k][i]
 }
 
-// path expands a d(x,h,e)-realizing walk (x … h) through the retained
-// parent chains. seedWalk expands a [x]→[h,e] seed arc for the covered
-// edge e at index i into the walk its weight stands for.
+// path expands a d(x,h,e)-realizing walk (x … h): the canonical path
+// when e is off it, else the walk behind the retained parent chains.
+// seedWalk expands a [x]→[h,e] seed arc for the covered edge e at
+// index i into the walk its weight stands for.
 func (hg *hubGraph) path(h, e int32, seedWalk func(h, i, e int32) ([]int32, error)) ([]int32, error) {
 	tree := hg.anc.Tree()
-	if h == tree.Root {
-		return []int32{h}, nil
-	}
 	child, ok := tree.ChildEndpoint(hg.g, e)
 	if !ok || !hg.anc.IsAncestor(child, h) {
 		return tree.PathTo(h), nil // canonical x→h avoids e outright
@@ -422,10 +387,9 @@ func (hg *hubGraph) expand(node int32, seedWalk func(h, i, e int32) ([]int32, er
 // the build, byte-accounted into Provenance.Bytes.
 type auxProv struct {
 	parent  []int32
-	nodeOwn []int32 // hub per node; -1 for node 0
-	nodeIdx []int32 // covered path-edge index per [h,e] node; -1 for [h] nodes
-	base    map[int32]int32
-	start   map[int32]int32
+	nodeOwn []int32         // hub per node; -1 for node 0
+	nodeIdx []int32         // covered path-edge index per [h,e] node; -1 for [h] nodes
+	base    map[int32]int32 // first [h,e] node per hub
 }
 
 // node maps (hub, covered index) back to the [hub, e] node id.
@@ -434,7 +398,7 @@ func (ap *auxProv) node(own, i int32) (int32, error) {
 	if !ok {
 		return 0, fmt.Errorf("msrp: no aux block for owner %d", own)
 	}
-	n := base + (i - ap.start[own])
+	n := base + i
 	if n < base || int(n) >= len(ap.parent) || ap.nodeOwn[n] != own {
 		return 0, fmt.Errorf("msrp: index %d outside owner %d's aux block", i, own)
 	}

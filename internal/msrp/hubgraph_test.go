@@ -14,52 +14,19 @@ import (
 	"msrp/internal/ssrp"
 )
 
-// TestHubGraphRowsExact checks the §8.1 and §8.2.2 hub-graph rows
-// directly instead of through final answers: every d(s,c,e) for a
-// source s, center c and edge e on the canonical s→c path, and every
-// d(c,r,e) for a center c, landmark r and edge e on the T_c path to r.
-// Each finite value must be sound (not below the brute-force length),
-// expand through the tracked parent chains to a walk
-// rp.CheckReplacementPath accepts at exactly that length, and — the
-// families run boosted — be exact. So entries the assembly never reads,
-// and the walks behind entries that lose its min(), are checked too.
+// TestHubGraphRowsExact checks the §8.2.2 hub-graph rows directly
+// instead of through final answers: every d(c,r,e) for a center c,
+// landmark r and edge e on the T_c path to r. Each finite value must be
+// sound (not below the brute-force length), expand through the tracked
+// parent chains to a walk rp.CheckReplacementPath accepts at exactly
+// that length, and — the families run boosted — be exact. So entries
+// the assembly never reads, and the walks behind entries that lose its
+// min(), are checked too. TestCenterRowsExact checks §8.1's rows.
 func TestHubGraphRowsExact(t *testing.T) {
 	for _, f := range pipelineFamilies() {
 		t.Run(f.name, func(t *testing.T) {
 			pv := solveAt(t, f.g, f.sources, 1, true).Prov
 			checked := 0
-			check := func(x, h, e, v int32, expand func() ([]int32, error)) {
-				if v >= rp.Inf {
-					return
-				}
-				checked++
-				want := naive.OnePair(f.g, x, h, e)
-				if v < want {
-					t.Fatalf("d(%d,%d,e=%d) = %d is below the true %d", x, h, e, v, want)
-				}
-				p, err := expand()
-				if err != nil {
-					t.Fatalf("d(%d,%d,e=%d) = %d: %v", x, h, e, v, err)
-				}
-				if err := rp.CheckReplacementPath(f.g, p, x, h, e, v); err != nil {
-					t.Fatalf("d(%d,%d,e=%d) = %d: %v", x, h, e, v, err)
-				}
-				if v != want {
-					t.Errorf("d(%d,%d,e=%d) = %d, want %d", x, h, e, v, want)
-				}
-			}
-			for si, ps := range pv.perSrc {
-				for _, c := range pv.ctr.List {
-					if c == ps.S || !ps.Ts.Reachable(c) {
-						continue
-					}
-					for _, e := range ps.Ts.PathEdgesTo(c) {
-						check(ps.S, c, e, pv.scs[si].dist(c, e), func() ([]int32, error) {
-							return pv.expandSC(si, c, e)
-						})
-					}
-				}
-			}
 			for _, c := range pv.ctr.List {
 				tc, gc := pv.ctr.Tree[c], pv.cl.at(c)
 				for _, r := range pv.sh.List {
@@ -67,9 +34,25 @@ func TestHubGraphRowsExact(t *testing.T) {
 						continue
 					}
 					for _, e := range tc.PathEdgesTo(r) {
-						check(c, r, e, gc.dist(r, e), func() ([]int32, error) {
-							return pv.expandCR(c, r, e)
-						})
+						v := gc.dist(r, e)
+						if v >= rp.Inf {
+							continue
+						}
+						checked++
+						want := naive.OnePair(f.g, c, r, e)
+						if v < want {
+							t.Fatalf("d(%d,%d,e=%d) = %d is below the true %d", c, r, e, v, want)
+						}
+						p, err := pv.expandCR(c, r, e)
+						if err != nil {
+							t.Fatalf("d(%d,%d,e=%d) = %d: %v", c, r, e, v, err)
+						}
+						if err := rp.CheckReplacementPath(f.g, p, c, r, e, v); err != nil {
+							t.Fatalf("d(%d,%d,e=%d) = %d: %v", c, r, e, v, err)
+						}
+						if v != want {
+							t.Errorf("d(%d,%d,e=%d) = %d, want %d", c, r, e, v, want)
+						}
 					}
 				}
 			}
@@ -132,14 +115,14 @@ func referenceHubGraph(spec hubSpec, hubAnc map[int32]*lca.Ancestry, scr *engine
 	g := spec.g
 	tree := spec.anc.Tree()
 	type hubInfo struct {
-		j      int
-		h      int32
-		node   int32
-		base   int32
-		lo, hi int32
-		edges  []int32
-		dist   []int32
-		anc    *lca.Ancestry
+		j     int
+		h     int32
+		node  int32
+		base  int32
+		hi    int32
+		edges []int32
+		dist  []int32
+		anc   *lca.Ancestry
 	}
 	var infos []hubInfo
 	next := int32(1)
@@ -153,14 +136,14 @@ func referenceHubGraph(spec hubSpec, hubAnc map[int32]*lca.Ancestry, scr *engine
 	for idx := range infos {
 		in := &infos[idx]
 		l := tree.Dist[in.h]
-		in.lo, in.hi = spec.window(in.h, l)
+		in.hi = min(spec.budget, l)
 		in.base = next
-		next += in.hi - in.lo
-		in.edges = make([]int32, in.hi-in.lo)
+		next += in.hi
+		in.edges = make([]int32, in.hi)
 		x := in.h
-		for i := l - 1; i >= in.lo; i-- {
+		for i := l - 1; i >= 0; i-- {
 			if i < in.hi {
-				in.edges[i-in.lo] = tree.ParentEdge[x]
+				in.edges[i] = tree.ParentEdge[x]
 			}
 			x = tree.Parent[x]
 		}
@@ -170,10 +153,10 @@ func referenceHubGraph(spec hubSpec, hubAnc map[int32]*lca.Ancestry, scr *engine
 		bld.AddArc(0, in.node, tree.Dist[in.h])
 	}
 	for _, in := range infos {
-		for i := in.lo; i < in.hi; i++ {
-			e := in.edges[i-in.lo]
-			node := in.base + (i - in.lo)
-			if w, ok := spec.seed(in.h, i, e); ok {
+		for i := range in.hi {
+			e := in.edges[i]
+			node := in.base + i
+			if w, ok := spec.seed.Get(spec.ci, int32(in.j), i); ok {
 				bld.AddArc(0, node, w)
 			}
 			child, _ := tree.ChildEndpoint(g, e)
@@ -187,8 +170,8 @@ func referenceHubGraph(spec hubSpec, hubAnc map[int32]*lca.Ancestry, scr *engine
 				}
 				if !spec.anc.IsAncestor(child, in2.h) {
 					bld.AddArc(in2.node, node, d)
-				} else if i >= in2.lo && i < in2.hi {
-					bld.AddArc(in2.base+(i-in2.lo), node, d)
+				} else if i < in2.hi {
+					bld.AddArc(in2.base+i, node, d)
 				}
 			}
 		}
@@ -198,7 +181,7 @@ func referenceHubGraph(spec hubSpec, hubAnc map[int32]*lca.Ancestry, scr *engine
 		slots[j].node = -1
 	}
 	for _, in := range infos {
-		slots[in.j] = hubSlot{node: in.node, base: in.base, lo: in.lo, hi: in.hi}
+		slots[in.j] = hubSlot{node: in.node, base: in.base, hi: in.hi}
 	}
 	return finishHubGraph(spec, slots, bld, scr)
 }
@@ -210,8 +193,6 @@ func hubGraphDiff(got, want *hubGraph) string {
 	switch {
 	case got.nodes != want.nodes || got.arcs != want.arcs:
 		return fmt.Sprintf("%d nodes, %d arcs; reference %d, %d", got.nodes, got.arcs, want.nodes, want.arcs)
-	case !slices.Equal(got.start, want.start):
-		return fmt.Sprintf("row starts %v, reference %v", got.start, want.start)
 	case (got.prov == nil) != (want.prov == nil):
 		return fmt.Sprintf("tracked %v, reference %v", got.prov != nil, want.prov != nil)
 	}
@@ -226,7 +207,7 @@ func hubGraphDiff(got, want *hubGraph) string {
 			return "parent chains differ"
 		case !slices.Equal(ap.nodeOwn, ref.nodeOwn) || !slices.Equal(ap.nodeIdx, ref.nodeIdx):
 			return "node decode tables differ"
-		case !maps.Equal(ap.base, ref.base) || !maps.Equal(ap.start, ref.start):
+		case !maps.Equal(ap.base, ref.base):
 			return "block maps differ"
 		}
 	}
@@ -234,12 +215,12 @@ func hubGraphDiff(got, want *hubGraph) string {
 }
 
 // TestHubGraphMatchesReference diffs solveHubGraph against the
-// hub-by-hub reference emission on every G_s and G_c of every family,
-// tracked and untracked, with the solver stages run at P ∈ {1, 2}.
-// The arc sets must agree in size, and since the Dijkstra breaks ties
-// by node id the rows and parent chains must agree bit for bit: this
-// is the test that pins the tie-breaking, which TestHubGraphRowsExact
-// (values and walks only) does not.
+// hub-by-hub reference emission on every G_c of every family, tracked
+// and untracked, with the solver stages run at P ∈ {1, 2}. The arc sets
+// must agree in size, and since the Dijkstra breaks ties by node id the
+// rows and parent chains must agree bit for bit: this is the test that
+// pins the tie-breaking, which TestHubGraphRowsExact (values and walks
+// only) does not.
 func TestHubGraphMatchesReference(t *testing.T) {
 	for _, f := range pipelineFamilies() {
 		t.Run(f.name, func(t *testing.T) {
@@ -248,48 +229,18 @@ func TestHubGraphMatchesReference(t *testing.T) {
 					label := fmt.Sprintf("P=%d track=%v", par, track)
 					p := testParams(77)
 					p.Parallelism, p.TrackPaths = par, track
-					sh, err := ssrp.NewShared(f.g, f.sources, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					n := f.g.NumVertices()
-					ctr := newCenters(sh, sh.DeriveRNG())
-					ct := newHubTable(n, ctr.List, ctr.Tree, ctr.Anc)
-					perSrc := make([]*ssrp.PerSource, len(f.sources))
-					scs := make([]*hubGraph, len(f.sources))
-					sh.Pool.RunScratch(len(f.sources), func(i int, sc *engine.Scratch) {
-						ps := sh.NewPerSource(f.sources[i])
-						ps.TrackPaths = p.TrackPaths
-						ps.BuildSmallNearScratch(sc)
-						perSrc[i] = ps
-						scs[i] = buildSourceCenter(ps, ctr, ct, sc)
-					})
-					seed, err := buildSeedTable(context.Background(), sh, perSrc, ctr)
-					if err != nil {
-						t.Fatal(err)
-					}
+					sh, ctr, _, seed := seedSetup(t, f.g, f.sources, p)
 					cl, err := buildCenterLandmark(context.Background(), sh, ctr, seed)
 					if err != nil {
 						t.Fatal(err)
 					}
-					lt := newHubTable(n, sh.List, sh.Tree, sh.Anc)
-					refSC := make([]*hubGraph, len(perSrc))
-					refCL := make([]*hubGraph, len(ctr.List))
-					sh.Pool.RunScratch(len(perSrc)+len(ctr.List), func(i int, sc *engine.Scratch) {
-						if i < len(perSrc) {
-							refSC[i] = referenceHubGraph(sourceCenterSpec(perSrc[i], ctr, ct), ctr.Anc, sc)
-							return
-						}
-						ci := i - len(perSrc)
-						refCL[ci] = referenceHubGraph(cl.spec(sh, ctr.List[ci], lt, seed), sh.Anc, sc)
+					lt := newHubTable(f.g.NumVertices(), sh.List, sh.Tree, sh.Anc)
+					ref := make([]*hubGraph, len(ctr.List))
+					sh.Pool.RunScratch(len(ctr.List), func(ci int, sc *engine.Scratch) {
+						ref[ci] = referenceHubGraph(cl.spec(sh, ctr.List[ci], lt, seed), sh.Anc, sc)
 					})
-					for i, s := range f.sources {
-						if d := hubGraphDiff(scs[i], refSC[i]); d != "" {
-							t.Fatalf("%s: G_s of source %d: %s", label, s, d)
-						}
-					}
 					for ci, c := range ctr.List {
-						if d := hubGraphDiff(cl.graphs[ci], refCL[ci]); d != "" {
+						if d := hubGraphDiff(cl.graphs[ci], ref[ci]); d != "" {
 							t.Fatalf("%s: G_c of center %d: %s", label, c, d)
 						}
 					}

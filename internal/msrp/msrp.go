@@ -12,9 +12,11 @@
 //  1. Sample a center family C_0 … C_K (same distribution as landmarks,
 //     sources forced into C_0); build BFS trees and ancestries
 //     (centers.go).
-//  2. §8.1 — per source s, one hub-graph Dijkstra (G_s) yields
-//     d(s, c, e) for every center c and the edges within c's budget of
-//     c on the s→c path (hubgraph.go, buildSourceCenter).
+//  2. §8.1 — per source s, one classic.Rows pass over T_s yields
+//     d(s, c, e) for every center c and every edge e of the s→c path
+//     (centers.go, buildCenterRows). The paper builds an auxiliary
+//     graph G_s for these values (Lemma 20); they are the same rows
+//     the single-source pipeline fills for its landmarks.
 //  3. §8.2.1 — enumerate the small replacement paths found by the §7.1
 //     Dijkstras of all sources, recording the c→r suffix length of
 //     every center c they pass in the seed cell of G_c's [r,e] node
@@ -63,9 +65,11 @@ type Stats struct {
 	CenterLevelSizes []int
 	CenterCount      int
 
-	// §8.1 auxiliary graphs (summed over sources).
-	SCNodes int64
-	SCArcs  int64
+	// SCArcs is always 0. It counted the arcs of §8.1's auxiliary
+	// graphs G_s; the center rows come from classic.Rows now, but the
+	// field stays because the repository benchmark reports it
+	// (msrp.sc_arcs).
+	SCArcs int64
 
 	// §8.2 auxiliary graphs (summed over centers).
 	CLNodes int64
@@ -112,8 +116,8 @@ type Stats struct {
 
 	// ProvenanceBytes is the retained footprint of the provenance plane
 	// when Params.TrackPaths is set (per-source witness snapshots and
-	// answer provenance, the §8.1/§8.2.2 parent chains, and the seed
-	// table); 0 otherwise.
+	// answer provenance, the §8.1 center rows and witnesses, the §8.2.2
+	// parent chains, and the seed table); 0 otherwise.
 	ProvenanceBytes int64
 }
 
@@ -175,11 +179,11 @@ func SolveShared(sh *ssrp.Shared) (*Solution, error) {
 // With Params.TrackPaths the solve additionally retains the provenance
 // plane — each source's §7.1 witness snapshot is taken between its
 // seed-shard enumeration and ReleasePathState (so the Θ(P·aux) peak of
-// live path state is untouched), the §8.1/§8.2.2 parent chains and the
-// merged seed table are kept, and every PerSource gets the plane
-// installed as its landmark-path expander. Tracking is purely
-// observational: lengths are bit-identical with it on or off, at any
-// worker count.
+// live path state is untouched), the §8.1 center rows with their
+// witnesses, the §8.2.2 parent chains and the merged seed table are
+// kept, and every PerSource gets the plane installed as its
+// landmark-path expander. Tracking is purely observational: lengths
+// are bit-identical with it on or off, at any worker count.
 func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error) {
 	g, sources, p := sh.G, sh.Sources, sh.Params
 	if err := ctx.Err(); err != nil {
@@ -193,13 +197,13 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 	for k := 0; k <= ctr.Levels.MaxK; k++ {
 		stats.CenterLevelSizes = append(stats.CenterLevelSizes, ctr.Levels.Size(k))
 	}
-	// The centers' hub table serves every source's G_s and seed shard;
-	// it is a local, dropped when the solve returns. The seed cells are
-	// laid out up front, so each shard can address them.
+	// The centers' hub table serves every source's seed shard; it is a
+	// local, dropped when the solve returns. The seed cells are laid out
+	// up front, so each shard can address them.
 	ct := newHubTable(g.NumVertices(), ctr.List, ctr.Tree, ctr.Anc)
 	seed := newSeedRows(sh.List, ctr)
 
-	// Per-source builds (trees, §7.1 graphs, §8.1 graphs) and §8.2.1
+	// Per-source builds (§7.1 graphs, §8.1 center rows) and §8.2.1
 	// seed-shard enumeration. A source's shard depends only on that
 	// source's build, so the two stages run as one dependency-aware
 	// pipeline over the engine pool: a worker finishing source i's
@@ -213,7 +217,7 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 	// end of its stage B, so at most P sources' worth is live at once.
 	// liveSeedPathBytes/peak track that high-water mark.
 	perSrc := make([]*ssrp.PerSource, len(sources))
-	scs := make([]*hubGraph, len(sources))
+	rows := make([]*centerRows, len(sources))
 	shards := make([][]seedOffer, len(sources))
 	var buildNanos, enumNanos, assembleNanos atomic.Int64
 	var liveSeedPathBytes, peakSeedPathBytes atomic.Int64
@@ -223,7 +227,7 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 		ps.TrackPaths = p.TrackPaths
 		ps.BuildSmallNearScratch(sc)
 		perSrc[i] = ps
-		scs[i] = buildSourceCenter(ps, ctr, ct, sc)
+		rows[i] = buildCenterRows(ps, ctr)
 		buildNanos.Add(time.Since(start).Nanoseconds())
 		maxInto(&peakSeedPathBytes, liveSeedPathBytes.Add(ps.Small.PathStateBytes()))
 	}
@@ -246,8 +250,6 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 	for i := range perSrc {
 		stats.AuxNodes += int64(perSrc[i].Small.NumNodes)
 		stats.AuxArcs += int64(perSrc[i].Small.NumArcs)
-		stats.SCNodes += int64(scs[i].nodes)
-		stats.SCArcs += int64(scs[i].arcs)
 	}
 	stats.StagePerSourceBuild = time.Duration(buildNanos.Load())
 	stats.StageSeedEnumerate = time.Duration(enumNanos.Load())
@@ -282,7 +284,7 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 		start := time.Now()
 		defer func() { assembleNanos.Add(time.Since(start).Nanoseconds()) }()
 		ps := perSrc[i]
-		ps.SetLenSR(assembleLenSR(ps, ctr, scs[i], cl, sc))
+		ps.SetLenSR(assembleLenSR(ps, ctr, rows[i], cl, sc))
 		pss[i].sweeps, pss[i].swImp = sweepLandmarks(ps, maxSweeps)
 		results[i] = ps.Combine(&pss[i].combine)
 	}); err != nil {
@@ -300,7 +302,7 @@ func SolveSharedContext(ctx context.Context, sh *ssrp.Shared) (*Solution, error)
 	}
 	sol := &Solution{Results: results, PerSource: perSrc, Stats: stats}
 	if p.TrackPaths {
-		sol.Prov = newProvenance(sh, ctr, perSrc, scs, cl, seed)
+		sol.Prov = newProvenance(sh, ctr, perSrc, rows, cl, seed)
 		stats.ProvenanceBytes = sol.Prov.Bytes()
 		for _, ps := range perSrc {
 			stats.ProvenanceBytes += ps.ProvenanceBytes()

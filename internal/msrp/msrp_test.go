@@ -211,7 +211,7 @@ func TestStatsPopulated(t *testing.T) {
 	if stats.CenterCount == 0 || len(stats.CenterLevelSizes) == 0 {
 		t.Fatal("center stats empty")
 	}
-	if stats.SCNodes == 0 || stats.CLNodes == 0 {
+	if stats.CLNodes == 0 {
 		t.Fatal("aux graph stats empty")
 	}
 	if stats.Queries == 0 {

@@ -124,13 +124,12 @@ func solveBarrier(t *testing.T, g *graph.Graph, sources []int32, par int) []*rp.
 		t.Fatal(err)
 	}
 	ctr := newCenters(sh, sh.DeriveRNG())
-	ct := newHubTable(g.NumVertices(), ctr.List, ctr.Tree, ctr.Anc)
 	perSrc := make([]*ssrp.PerSource, len(sources))
-	scs := make([]*hubGraph, len(sources))
+	rows := make([]*centerRows, len(sources))
 	sh.Pool.RunScratch(len(sources), func(i int, sc *engine.Scratch) {
 		perSrc[i] = sh.NewPerSource(sources[i])
 		perSrc[i].BuildSmallNearScratch(sc)
-		scs[i] = buildSourceCenter(perSrc[i], ctr, ct, sc)
+		rows[i] = buildCenterRows(perSrc[i], ctr)
 	})
 	seed, err := buildSeedTable(context.Background(), sh, perSrc, ctr)
 	if err != nil {
@@ -143,7 +142,7 @@ func solveBarrier(t *testing.T, g *graph.Graph, sources []int32, par int) []*rp.
 	results := make([]*rp.Result, len(sources))
 	sh.Pool.RunScratch(len(sources), func(i int, sc *engine.Scratch) {
 		ps := perSrc[i]
-		ps.SetLenSR(assembleLenSR(ps, ctr, scs[i], cl, sc))
+		ps.SetLenSR(assembleLenSR(ps, ctr, rows[i], cl, sc))
 		sweepLandmarks(ps, maxSweeps)
 		results[i] = ps.Combine(&ssrp.Stats{})
 	})

@@ -12,19 +12,20 @@ import (
 // The single-source pipeline can afford to remember *how* every
 // d(s,r,e) was won: it computes those values with the classic algorithm
 // and the crossing-edge witness is a two-int32 byproduct. The §8
-// pipeline cannot — its landmark values emerge from a stack of
-// build-run-discard Dijkstras (the §8.1 G_s, the §8.2.2 G_c), a shared
-// seed table whose entries are minima over *other sources'* small
-// paths, and a fixpoint sweep. Recording a full decision trail through
-// that stack would couple tracking into every hot loop.
+// pipeline cannot — its landmark values emerge from the §8.1 center
+// rows, a stack of build-run-discard Dijkstras (the §8.2.2 G_c), a
+// shared seed table whose entries are minima over *other sources'*
+// small paths, and a fixpoint sweep. Recording a full decision trail
+// through that stack would couple tracking into every hot loop.
 //
 // Instead the plane retains three compact, immutable artifacts when
 // Params.TrackPaths is set —
 //
 //  1. per source, the §7.1 witness snapshot (ssrp.ProvSnapshot) taken
 //     between seed-shard enumeration and ReleasePathState, and the §8.1
-//     G_s parent chains (the hub graph's auxProv);
-//  2. per center, the §8.2.2 G_c parent chains (auxProv again);
+//     center rows with their crossing-edge witnesses (centerRows);
+//  2. per center, the §8.2.2 G_c parent chains (the hub graph's
+//     auxProv);
 //  3. the merged §8.2.1 seed cells themselves —
 //
 // and *explains* a value on demand: given the final LenSR[r][i], it
@@ -42,7 +43,7 @@ type Provenance struct {
 	sh     *ssrp.Shared
 	ctr    *Centers
 	perSrc []*ssrp.PerSource
-	scs    []*hubGraph
+	rows   []*centerRows
 	cl     *centerLandmark
 	// seed holds the merged §8.2.1 cells; the explain pass re-reads the
 	// [c]→[r,e] arc weights of G_c from it.
@@ -53,8 +54,8 @@ type Provenance struct {
 // stages have run. It installs itself as every source's landmark-path
 // expander.
 func newProvenance(sh *ssrp.Shared, ctr *Centers, perSrc []*ssrp.PerSource,
-	scs []*hubGraph, cl *centerLandmark, seed *seedRows) *Provenance {
-	pv := &Provenance{sh: sh, ctr: ctr, perSrc: perSrc, scs: scs, cl: cl, seed: seed}
+	rows []*centerRows, cl *centerLandmark, seed *seedRows) *Provenance {
+	pv := &Provenance{sh: sh, ctr: ctr, perSrc: perSrc, rows: rows, cl: cl, seed: seed}
 	for i := range perSrc {
 		si := i
 		perSrc[i].SetLandmarkPath(func(r int32, j int) ([]int32, error) {
@@ -65,14 +66,15 @@ func newProvenance(sh *ssrp.Shared, ctr *Centers, perSrc []*ssrp.PerSource,
 }
 
 // Bytes returns the plane's retained footprint beyond the per-source
-// state (which ssrp.PerSource.ProvenanceBytes accounts): the §8.1 and
-// §8.2.2 parent chains, the seed table, and the center forest — the
-// trees and ancestries an untracked solve would have dropped with the
-// rest of the §8 machinery but the explain pass keeps re-walking.
+// state (which ssrp.PerSource.ProvenanceBytes accounts): the §8.1
+// center rows and witnesses, the §8.2.2 parent chains, the seed table,
+// and the center forest — the trees and ancestries an untracked solve
+// would have dropped with the rest of the §8 machinery but the explain
+// pass keeps re-walking.
 func (pv *Provenance) Bytes() int64 {
 	var b int64
-	for _, sc := range pv.scs {
-		b += sc.prov.bytes()
+	for _, cr := range pv.rows {
+		b += cr.bytes()
 	}
 	for _, gc := range pv.cl.graphs {
 		b += gc.prov.bytes()
@@ -147,7 +149,7 @@ func (pv *Provenance) expandLenSR(si int, r, i, e int32, v int32, depth int) ([]
 		if pv.sh.Anc[r2].EdgeOnRootPath(g, e, r) {
 			continue // suffix would cross e
 		}
-		d2 := ps.DSR(r2, int(i), e)
+		d2 := ps.RowDist(ps.LenSR, r2, int(i), e)
 		if d2 >= rp.Inf || d2+dr2r != v {
 			continue
 		}
@@ -186,8 +188,9 @@ func (pv *Provenance) expandLenSR(si int, r, i, e int32, v int32, depth int) ([]
 	}
 
 	// 4. MTC term 2: d(s,c,e) + |c r| through a center whose canonical
-	// suffix (in T_c) avoids e; the prefix expands through the §8.1
-	// plane.
+	// suffix (in T_c) avoids e; the prefix is the canonical s→c path
+	// when e is off it, else the center row's witness walk.
+	rows := pv.rows[si]
 	for _, c := range pv.ctr.List {
 		dcr := pv.ctr.Tree[c].Dist[r]
 		if dcr < 0 {
@@ -196,31 +199,23 @@ func (pv *Provenance) expandLenSR(si int, r, i, e int32, v int32, depth int) ([]
 		if pv.ctr.Anc[c].EdgeOnRootPath(g, e, r) {
 			continue
 		}
-		d2 := pv.scs[si].dist(c, e)
+		d2 := ps.RowDist(rows.lens, c, int(i), e)
 		if d2 >= rp.Inf || d2+dcr != v {
 			continue
 		}
-		prefix, err := pv.expandSC(si, c, e)
-		if err != nil {
-			continue
+		var prefix []int32
+		if !ps.AncS.EdgeOnRootPath(g, e, c) {
+			prefix = ps.Ts.PathTo(c)
+		} else {
+			var err error
+			if prefix, err = ps.WitnessPath(rows.wits, pv.ctr.Tree[c], c, int(i)); err != nil {
+				continue
+			}
 		}
 		return appendLeg(prefix, pv.ctr.Tree[c].PathTo(r)), winner{kind: cPath}, nil
 	}
 
 	return nil, winner{}, fmt.Errorf("msrp: no provenance candidate realizes LenSR value %d (r=%d i=%d; non-converged sweep?)", v, r, i)
-}
-
-// expandSC expands a d(s,c,e)-realizing walk (s … c) for source index
-// si through the §8.1 G_s parent chains; a [s]→[c,e] arc is a §7.1
-// small path, expanded from the witness snapshot.
-func (pv *Provenance) expandSC(si int, c, e int32) ([]int32, error) {
-	snap := pv.perSrc[si].Snap
-	return pv.scs[si].path(c, e, func(c, i, _ int32) ([]int32, error) {
-		if p := snap.PathVertices(c, int(i)); p != nil {
-			return p, nil
-		}
-		return nil, fmt.Errorf("msrp: G_s small arc to (%d,%d) has no snapshot path", c, i)
-	})
 }
 
 // expandCR expands a d(c,r,e)-realizing walk (c … r) through the

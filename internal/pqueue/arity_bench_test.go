@@ -1,9 +1,9 @@
 package pqueue_test
 
-// Binary-vs-4-ary micro-benchmark on the heap workload the §8.1 and
-// §8.2.2 auxiliary-graph Dijkstras generate: a hub source fanning out
-// to every node (the [s]→[c]/[c,e] arc layer) plus dense cross arcs
-// between the block nodes (the [c']→[c,e] layer), driven with lazy
+// Binary-vs-4-ary micro-benchmark on the heap workload the hub-graph
+// Dijkstras generate: a hub source fanning out to every node (the
+// [x]→[h]/[h,e] arc layer) plus dense cross arcs between the block
+// nodes (the [h']→[h,e] layer), driven with lazy
 // deletion exactly like dijkstra.Graph.Run. The reference binary heap
 // below is the pre-4-ary implementation, kept verbatim so the
 // benchmark keeps measuring the actual switch.
@@ -170,8 +170,8 @@ func TestArityMatchesBinary(t *testing.T) {
 }
 
 // BenchmarkHeapArity compares binary vs 4-ary sift behaviour on the
-// auxiliary-graph workloads: "sc" approximates a §8.1 source–center
-// graph (moderate nodes, denser cross arcs), "cl" a §8.2.2
+// auxiliary-graph workloads: "sc" approximates the paper's §8.1
+// source–center graph (moderate nodes, denser cross arcs), "cl" a §8.2.2
 // center–landmark graph (more nodes, sparser crossings).
 func BenchmarkHeapArity(b *testing.B) {
 	workloads := []struct {

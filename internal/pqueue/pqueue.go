@@ -17,7 +17,7 @@
 // a unique minimum, so any arity pops the same sequence (the
 // determinism contract the solvers rely on). BenchmarkHeapArity
 // measures the switch against a reference binary heap on
-// §8.1/§8.2.2-shaped auxiliary-graph workloads.
+// hub-graph-shaped auxiliary-graph workloads.
 package pqueue
 
 // Item is a heap entry: Key orders the heap, Value identifies the node.

@@ -366,6 +366,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	answers, err := s.oracle.QueryBatchContext(ctx, queries)
+	if err == nil && deadline > 0 {
+		// A batch can overrun its budget before the timer behind ctx
+		// fires, so the verdict reads the clock, not just ctx.Err().
+		if dl, _ := ctx.Deadline(); !time.Now().Before(dl) {
+			err = context.DeadlineExceeded
+		}
+	}
 	if err != nil {
 		// The declared budget expiring is the replica's own verdict —
 		// 504, the signal a router maps to a per-item deadline miss.

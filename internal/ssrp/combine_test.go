@@ -13,7 +13,7 @@ import (
 // referenceCombine is a test-only copy of the edge-by-edge combine the
 // band scan replaced: for each target and each path edge, the §7.1
 // small value (near edges) and then every landmark of the edge's level,
-// each tested through map lookups, EdgeOnRootPath and dSR. It returns
+// each tested through map lookups, EdgeOnRootPath and RowDist. It returns
 // the lengths and the provenance rows without touching ps.prov.
 func referenceCombine(ps *PerSource, stats *Stats) (*rp.Result, [][]provEntry) {
 	sh := ps.Sh
@@ -93,7 +93,7 @@ func referenceScanEdge(ps *PerSource, t int32, i int, e int32, k int, row []int3
 		if sh.Anc[r].EdgeOnRootPath(sh.G, e, t) {
 			continue
 		}
-		d := ps.dSR(r, i, e)
+		d := ps.RowDist(ps.LenSR, r, i, e)
 		if d >= inf {
 			continue
 		}

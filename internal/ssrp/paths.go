@@ -2,6 +2,9 @@ package ssrp
 
 import (
 	"fmt"
+
+	"msrp/internal/bfs"
+	"msrp/internal/classic"
 )
 
 // Path reconstruction: when Params.TrackPaths is set, the solvers
@@ -73,13 +76,21 @@ func (ps *PerSource) landmarkPrefix(r int32, i int) ([]int32, error) {
 	if ps.landmarkPath != nil {
 		return ps.landmarkPath(r, i)
 	}
-	ws := ps.witness[r]
+	return ps.WitnessPath(ps.witness, ps.Sh.Tree[r], r, i)
+}
+
+// WitnessPath expands cell (h, i) of rows that classic.Rows filled
+// over T_s with crossing-edge witnesses wits: a d(s,h,e_i)-realizing
+// walk, s first. th is h's BFS tree. Both row sets use it: LenSR's
+// witnesses here, the multi-source solve's center rows there.
+func (ps *PerSource) WitnessPath(wits map[int32][]classic.Witness, th *bfs.Tree, h int32, i int) ([]int32, error) {
+	ws := wits[h]
 	if ws == nil || i >= len(ws) {
-		return nil, fmt.Errorf("ssrp: missing witness for landmark %d index %d", r, i)
+		return nil, fmt.Errorf("ssrp: missing witness for hub %d index %d", h, i)
 	}
-	p := ws[i].BuildPath(ps.Ts, ps.Sh.Tree[r])
+	p := ws[i].BuildPath(ps.Ts, th)
 	if p == nil {
-		return nil, fmt.Errorf("ssrp: provenance via landmark %d but witness is no-path", r)
+		return nil, fmt.Errorf("ssrp: witness for hub %d index %d is no-path", h, i)
 	}
 	return p, nil
 }

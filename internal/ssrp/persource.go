@@ -123,12 +123,22 @@ func (ps *PerSource) BuildSmallNearScratch(sc *engine.Scratch) {
 // (classic.Rows) rather than one run per landmark. With TrackPaths set
 // it also stores the crossing-edge witnesses.
 func (ps *PerSource) ComputeLenSRClassic() {
-	sh := ps.Sh
-	ps.LenSR = make(map[int32][]int32, len(sh.List))
+	ps.LenSR, ps.witness = ps.FillRows(ps.Sh.List, ps.Sh.Tree)
+}
+
+// FillRows returns d(s, h, e_i) for every hub h ≠ s reachable from s
+// and every edge e_i of the canonical s→h path, from one classic.Rows
+// pass over T_s; trees holds the hubs' BFS trees. With TrackPaths set
+// it also returns each cell's crossing-edge witness (else nil), which
+// WitnessPath expands. Read the rows with RowDist.
+func (ps *PerSource) FillRows(hubs []int32, trees map[int32]*bfs.Tree) (map[int32][]int32, map[int32][]classic.Witness) {
+	lens := make(map[int32][]int32, len(hubs))
+	var wits map[int32][]classic.Witness
 	if ps.TrackPaths {
-		ps.witness = make(map[int32][]classic.Witness, len(sh.List))
+		wits = make(map[int32][]classic.Witness, len(hubs))
 	}
-	classic.Rows(sh.G, ps.Ts, sh.List, sh.Tree, ps.LenSR, ps.witness)
+	classic.Rows(ps.Sh.G, ps.Ts, hubs, trees, lens, wits)
+	return lens, wits
 }
 
 // ComputeLenSRClassicPool is ComputeLenSRClassic. The pool no longer
@@ -145,33 +155,31 @@ func (ps *PerSource) SetLenSR(lenSR map[int32][]int32) {
 	ps.LenSR = lenSR
 }
 
-// dSR returns d(s, r, e) where e is the path edge with index i on any
+// RowDist returns d(s, h, e) from rows, one source's replacement rows
+// to a set of hubs (LenSR for the landmarks, or the multi-source
+// solve's center rows), where e is the path edge with index i on any
 // canonical path through it. Three cases:
-//   - r == s: the empty path avoids everything — 0.
-//   - e not on the canonical s→r path: the canonical path itself avoids
-//     e — |sr|.
-//   - otherwise the precomputed replacement length (index identity: e's
-//     index on the s→r path is also i).
-func (ps *PerSource) dSR(r int32, i int, e int32) int32 {
-	if r == ps.S {
+//   - h == s: the empty path avoids everything — 0.
+//   - e not on the canonical s→h path: the canonical path itself avoids
+//     e — |sh|.
+//   - otherwise the row value (index identity: e's index on the s→h
+//     path is also i).
+func (ps *PerSource) RowDist(rows map[int32][]int32, h int32, i int, e int32) int32 {
+	if h == ps.S {
 		return 0
 	}
-	if !ps.Ts.Reachable(r) {
+	if !ps.Ts.Reachable(h) {
 		return inf
 	}
-	if !ps.AncS.EdgeOnRootPath(ps.Sh.G, e, r) {
-		return ps.Ts.Dist[r]
+	if !ps.AncS.EdgeOnRootPath(ps.Sh.G, e, h) {
+		return ps.Ts.Dist[h]
 	}
-	row := ps.LenSR[r]
+	row := rows[h]
 	if row == nil || i >= len(row) {
 		return inf
 	}
 	return row[i]
 }
-
-// DSR exposes dSR for the multi-source provenance plane, which re-walks
-// the candidate space to explain a winning value.
-func (ps *PerSource) DSR(r int32, i int, e int32) int32 { return ps.dSR(r, i, e) }
 
 // Combine runs the per-target assembly (§6 far edges via Algorithm 3,
 // §7.2 near-large via Algorithm 4, §7.1 small-near lookups, plus the

@@ -51,17 +51,29 @@ func solve(g *graph.Graph, source int32, p Params, trackPaths bool) (*rp.Result,
 		return nil, nil, nil, err
 	}
 	stats := sh.newStats()
-	ps := sh.NewPerSource(source)
-	ps.TrackPaths = trackPaths || p.TrackPaths
+	res, ps := sh.SolveSource(source, trackPaths || p.TrackPaths, stats)
+	return res, ps, stats, nil
+}
+
+// SolveSource is the lazy per-source build: the single-source pipeline
+// for source s on the shared preprocessing. It builds and solves the
+// §7.1 graph, snapshots its witnesses when track is set (reconstruction
+// runs off that immutable snapshot, the same plane the MSRP pipeline
+// retains past ReleasePathState), fills the landmark rows in one
+// classic.Rows pass and runs the per-target combine. A non-nil stats
+// gains the §7.1 graph's size and the combine's counters. Solve runs it
+// once; the public Oracle runs it per cache miss.
+func (sh *Shared) SolveSource(s int32, track bool, stats *Stats) (*rp.Result, *PerSource) {
+	ps := sh.NewPerSource(s)
+	ps.TrackPaths = track
 	ps.BuildSmallNear()
-	if ps.TrackPaths {
-		// Reconstruction runs off the immutable witness snapshot, the
-		// same plane the MSRP pipeline retains past ReleasePathState.
+	if track {
 		ps.Snap = ps.Small.SnapshotProvenance()
 	}
-	stats.AuxNodes += int64(ps.Small.NumNodes)
-	stats.AuxArcs += int64(ps.Small.NumArcs)
 	ps.ComputeLenSRClassic()
-	res := ps.Combine(stats)
-	return res, ps, stats, nil
+	if stats != nil {
+		stats.AuxNodes += int64(ps.Small.NumNodes)
+		stats.AuxArcs += int64(ps.Small.NumArcs)
+	}
+	return ps.Combine(stats), ps
 }

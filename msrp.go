@@ -127,10 +127,6 @@ type Options struct {
 	// mode that routes every query through the §7.1 auxiliary graph.
 	ExhaustiveNear bool
 
-	// FlatLandmarks disables the paper's landmark scaling trick
-	// (ablation switch; output unchanged, far-edge stage slower).
-	FlatLandmarks bool
-
 	// TrackPaths records provenance during the solve so
 	// Result.ReplacementPath can expand answers into concrete vertex
 	// sequences. Supported by SingleSource, MultiSource, and the Oracle
@@ -182,7 +178,6 @@ func (o Options) params() ssrp.Params {
 		SuffixScale:    o.SuffixScale,
 		Parallelism:    o.Parallelism,
 		ExhaustiveNear: o.ExhaustiveNear,
-		FlatLandmarks:  o.FlatLandmarks,
 		TrackPaths:     o.TrackPaths,
 	}
 }

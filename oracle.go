@@ -175,8 +175,8 @@ type Oracle struct {
 // Serving front-ends use the build-side numbers to inform load
 // shedding with measured latency rather than a static cap.
 type StageTimes struct {
-	// PerSourceBuild covers the §7.1 small-near and §8.1 source–center
-	// builds.
+	// PerSourceBuild covers the §7.1 small-near builds and the §8.1
+	// center rows.
 	PerSourceBuild time.Duration
 	// SeedEnumerate covers the §8.2.1 per-source shard enumeration.
 	SeedEnumerate time.Duration
@@ -895,14 +895,8 @@ func (o *Oracle) hitLocked(s int, paths bool) *Result {
 // result expands paths; lengths are unchanged.
 func (o *Oracle) build(s int32) *Result {
 	start := time.Now()
-	ps := o.sh.NewPerSource(s)
-	ps.TrackPaths = o.opts.TrackPaths
-	ps.BuildSmallNear()
-	if ps.TrackPaths {
-		ps.Snap = ps.Small.SnapshotProvenance()
-	}
-	ps.ComputeLenSRClassic()
-	res := wrapResult(o.g.g, ps.Combine(nil))
+	r, ps := o.sh.SolveSource(s, o.opts.TrackPaths, nil)
+	res := wrapResult(o.g.g, r)
 	if ps.TrackPaths {
 		res.ps = ps
 	}
